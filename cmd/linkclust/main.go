@@ -122,7 +122,7 @@ func usageError() error {
 // profile: for a sample of similarity thresholds, the cluster count,
 // partition density, edge coverage, and overlapping modularity of the
 // resulting communities — the model-selection view over a cached
-// dendrogram.
+// dendrogram — then the best cut over every threshold.
 func cmdAnalyze(args []string, stdin io.Reader, stdout io.Writer) error {
 	fs := flag.NewFlagSet("analyze", flag.ContinueOnError)
 	var (
@@ -168,7 +168,6 @@ func cmdAnalyze(args []string, stdin io.Reader, stdout io.Writer) error {
 		step = 1
 	}
 	fmt.Fprintf(stdout, "%-10s %-9s %-9s %-9s %-9s\n", "sim>=", "clusters", "density", "coverage", "EQ")
-	bestDensity, bestTheta := -1.0, 0.0
 	for i := 0; i < len(ths); i += step {
 		theta := ths[i]
 		labels := d.CutSim(theta)
@@ -181,10 +180,9 @@ func cmdAnalyze(args []string, stdin io.Reader, stdout io.Writer) error {
 		}
 		fmt.Fprintf(stdout, "%-10.4g %-9d %-9.4f %-9.4f %-9s\n",
 			theta, len(comms), density, linkclust.Coverage(g, cover), eqCell)
-		if density > bestDensity {
-			bestDensity, bestTheta = density, theta
-		}
 	}
+	// The sampled rows may skip the best cut; BestCut scores every one.
+	bestTheta, bestDensity, _ := linkclust.BestCut(g, d)
 	fmt.Fprintf(stdout, "max partition density %.4f at sim >= %.4g\n", bestDensity, bestTheta)
 	return nil
 }

@@ -5,9 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
+
+	"linkclust"
+	"linkclust/internal/core"
+	"linkclust/internal/dendro"
 )
 
 // pipeline produces a small corpus and graph through the actual subcommands.
@@ -223,13 +228,35 @@ func TestAnalyzeFromSavedMerges(t *testing.T) {
 	if err := run(context.Background(), []string{"cluster", "-in", gpath, "-algo", "sweep", "-save-merges", mpath}, nil, &out); err != nil {
 		t.Fatal(err)
 	}
-	out.Reset()
-	if err := run(context.Background(), []string{"analyze", "-in", gpath, "-merges", mpath, "-cuts", "5"}, nil, &out); err != nil {
+	g, err := linkclust.ReadGraph(strings.NewReader(gtext))
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"sim>=", "clusters", "density", "coverage", "max partition density"} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("analyze output missing %q:\n%s", want, out.String())
+	mf, err := os.Open(mpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mf.Close()
+	n, merges, err := core.ReadMerges(mf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	theta, density, _ := linkclust.BestCut(g, dendro.New(n, merges))
+	summary := fmt.Sprintf("max partition density %.4f at sim >= %.4g\n", density, theta)
+	// The summary line reports BestCut's cut whichever rows are sampled;
+	// one row samples only the highest threshold.
+	for _, cuts := range []string{"5", "1"} {
+		out.Reset()
+		if err := run(context.Background(), []string{"analyze", "-in", gpath, "-merges", mpath, "-cuts", cuts}, nil, &out); err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{"sim>=", "clusters", "density", "coverage"} {
+			if !strings.Contains(out.String(), want) {
+				t.Fatalf("analyze output missing %q:\n%s", want, out.String())
+			}
+		}
+		if !strings.HasSuffix(out.String(), summary) {
+			t.Fatalf("-cuts %s: summary is not BestCut's %q:\n%s", cuts, summary, out.String())
 		}
 	}
 }

@@ -181,10 +181,10 @@ const (
 
 // ClusterOptions configures an instrumented pipeline run.
 type ClusterOptions struct {
-	// Workers sets the worker count for the initialization phase (and the
-	// coarse sweeping phase, where applicable). Like every parallel entry
-	// point, the value is normalized: below 1 runs serially, above
-	// max(runtime.GOMAXPROCS(0), runtime.NumCPU()) is clamped to that cap.
+	// Workers sets the worker count for the initialization and sweeping
+	// phases. Like every parallel entry point, the value is normalized:
+	// below 1 runs one worker, above max(runtime.GOMAXPROCS(0),
+	// runtime.NumCPU()) is clamped to that cap.
 	Workers int
 	// Recorder, when non-nil, collects phase timers and counters for the
 	// run; call Recorder.Report to obtain the RunReport.
@@ -193,14 +193,15 @@ type ClusterOptions struct {
 	// the windowed parallel sweep when Workers > 1. Output is bitwise
 	// identical either way.
 	Pipeline bool
-	// Engine selects the sweeping engine explicitly: EngineSerial,
-	// EngineParallel, EnginePipelined, or EngineAuto, which picks serial
-	// below a measured op-count threshold (see core.SweepAutoMinOps and
-	// DESIGN.md) and otherwise honors Workers/Pipeline. Empty keeps the
-	// legacy switch (Pipeline → pipelined, Workers > 1 → parallel, else
-	// serial). Every engine is bitwise identical — Engine affects speed
-	// only. The resolved engine is recorded on the Recorder's run report as
-	// meta key "sweep_engine".
+	// Engine selects the sweeping engine explicitly: EngineParallel,
+	// EnginePipelined, EngineSpill, EngineSerial (the windowed engine at one
+	// worker, whatever Workers says), or EngineAuto (also the empty
+	// default), which picks the pipelined engine when Pipeline is set and
+	// Workers > 1 and the windowed engine at Workers otherwise (see
+	// core.ChooseSweepEngine). Every engine is bitwise identical — Engine
+	// affects speed only. The resolved engine is recorded on the Recorder's
+	// run report as meta key "sweep_engine"; EngineSerial records as
+	// EngineParallel.
 	Engine string
 	// Relabel routes the initialization phase through the degree-ordered
 	// relabeled kernel (SimilarityRelabeled): vertices are renamed by
@@ -209,8 +210,10 @@ type ClusterOptions struct {
 	Relabel bool
 	// MemBudgetBytes, when positive, sets a soft live-heap budget for
 	// ClusterCtx: heap growth is measured from entry and checked at the
-	// initialization/sweep phase boundary. On breach the run escalates in
-	// two rungs. First it admits the pair list to disk and runs the
+	// initialization/sweep phase boundary, charging at least the pair
+	// list's encoded size, which the run holds there for certain (a GC that
+	// sweeps older garbage can otherwise hide it). On breach the run
+	// escalates in two rungs. First it admits the pair list to disk and runs the
 	// out-of-core spilled sweep (SweepSpilled, recorded under
 	// CtrMemBudgetSpills), whose output is bitwise identical to the
 	// in-memory engines. Only if spilling itself fails at the disk — store
@@ -279,7 +282,8 @@ func SimilarityParallelLegacy(g *Graph, workers int) *PairList {
 }
 
 // Sweep runs the sweeping phase (Algorithm 2) over a pair list built from
-// the same graph.
+// the same graph. It is the paper's serial loop, kept as the reference the
+// engines are checked against; SweepCtx is the production one-worker sweep.
 func Sweep(g *Graph, pl *PairList) (*Result, error) { return core.Sweep(g, pl) }
 
 // SweepParallel runs the sweeping phase multi-threaded: the sorted pair list
@@ -343,7 +347,8 @@ func SweepCompact(g *Graph, c *CompactPairList) (*Result, error) {
 	return core.SweepCompact(g, c)
 }
 
-// Cluster is the serial end-to-end pipeline: Similarity then Sweep.
+// Cluster is the serial end-to-end pipeline: Similarity then Sweep — the
+// reference implementation; ClusterCtx is the production pipeline.
 func Cluster(g *Graph) (*Result, error) { return core.Cluster(g) }
 
 // ClusterParallel runs the fully parallel fine-grained pipeline: the
@@ -367,16 +372,13 @@ func ClusterPipelined(g *Graph, workers int) (*Result, error) {
 }
 
 // ClusterInstrumented runs the fine-grained pipeline (parallel
-// initialization and parallel sweep when opts.Workers > 1, the serial paths
-// otherwise) with optional instrumentation: phase wall times and the
-// pairs-processed / chain-rewrite / merge counters land in opts.Recorder,
-// plus the sweep engine's window/round counters on the parallel path.
+// initialization, then the windowed sweep engine at opts.Workers) with
+// optional instrumentation: phase wall times, the pairs-processed /
+// chain-rewrite / merge counters and the engine's window/round counters land
+// in opts.Recorder.
 func ClusterInstrumented(g *Graph, opts ClusterOptions) (*Result, error) {
 	pl := core.SimilarityParallelRecorded(g, opts.Workers, opts.Recorder)
-	if opts.Workers > 1 {
-		return core.SweepParallelRecorded(g, pl, opts.Workers, opts.Recorder)
-	}
-	return core.SweepRecorded(g, pl, opts.Recorder)
+	return core.SweepParallelRecorded(g, pl, opts.Workers, opts.Recorder)
 }
 
 // SimilarityCtx is SimilarityParallel with cooperative cancellation, panic
@@ -388,9 +390,10 @@ func SimilarityCtx(ctx context.Context, g *Graph, workers int, rec *Recorder) (*
 	return core.SimilarityCtx(ctx, g, workers, rec)
 }
 
-// SweepCtx is the serial sweep with cooperative cancellation: the context is
-// checked once per 8192 incident-edge operations (the same window size as
-// the parallel engines), bounding cancel latency by one window.
+// SweepCtx is SweepParallelCtx at one worker: the windowed engine with
+// cooperative cancellation, checked at every window cut of 8192
+// incident-edge operations, bounding cancel latency by one window. The merge
+// stream is bitwise identical to Sweep.
 func SweepCtx(ctx context.Context, g *Graph, pl *PairList, rec *Recorder) (*Result, error) {
 	return core.SweepCtx(ctx, g, pl, rec)
 }
@@ -418,12 +421,13 @@ func SweepPipelinedCtx(ctx context.Context, g *Graph, pl *PairList, workers int,
 
 // ClusterCtx is the cancellable, fault-tolerant end-to-end pipeline:
 // SimilarityCtx followed by the sweep selected by opts (pipelined when
-// opts.Pipeline, windowed-parallel when opts.Workers > 1, serial otherwise),
-// with opts.MemBudgetBytes optionally degrading the run to coarse-grained
-// clustering at the phase boundary (see ClusterOptions). Cancellation is
-// honored within one scheduling window at every stage; worker panics surface
-// as *WorkerPanicError; and when ctx never cancels, no budget breaches, and
-// no fault is injected, the result is bitwise identical to Cluster.
+// opts.Pipeline and opts.Workers > 1, the windowed engine otherwise — at one
+// worker included), with opts.MemBudgetBytes optionally degrading the run to
+// coarse-grained clustering at the phase boundary (see ClusterOptions).
+// Cancellation is honored within one scheduling window at every stage;
+// worker panics surface as *WorkerPanicError; and when ctx never cancels, no
+// budget breaches, and no fault is injected, the result is bitwise identical
+// to Cluster.
 func ClusterCtx(ctx context.Context, g *Graph, opts ClusterOptions) (*Result, error) {
 	budget := obs.NewMemBudget(opts.MemBudgetBytes)
 	var (
@@ -437,6 +441,9 @@ func ClusterCtx(ctx context.Context, g *Graph, opts ClusterOptions) (*Result, er
 	}
 	if err != nil {
 		return nil, err
+	}
+	if budget != nil {
+		budget.Reserve(core.SpillPayloadBytes(pl))
 	}
 	if budget.Exceeded() {
 		// Escalation ladder, rung 1: admit the pair list to disk and sweep
@@ -468,21 +475,22 @@ func ClusterCtx(ctx context.Context, g *Graph, opts ClusterOptions) (*Result, er
 		}
 		return coarseToResult(cres), nil
 	}
-	engine, err := resolveSweepEngine(opts, pl)
-	if err != nil {
-		return nil, err
+	switch opts.Engine {
+	case "", EngineAuto, EngineSerial, EngineParallel, EnginePipelined, EngineSpill:
+	default:
+		return nil, fmt.Errorf("linkclust: unknown sweep engine %q (want %q, %q, %q, %q, or %q)",
+			opts.Engine, EngineAuto, EngineSerial, EngineParallel, EnginePipelined, EngineSpill)
 	}
+	engine, workers := core.ResolveSweepEngine(opts.Engine, opts.Workers, opts.Pipeline)
 	opts.Recorder.SetMeta("sweep_engine", engine)
 	switch engine {
 	case core.SweepEngineSpill:
-		return core.SweepSpilledOpts(ctx, g, pl, opts.Workers,
+		return core.SweepSpilledOpts(ctx, g, pl, workers,
 			core.SpillOptions{Dir: opts.SpillDir}, opts.Recorder)
 	case core.SweepEnginePipelined:
-		return core.SweepPipelinedCtx(ctx, g, pl, opts.Workers, opts.Recorder)
-	case core.SweepEngineParallel:
-		return core.SweepParallelCtx(ctx, g, pl, opts.Workers, opts.Recorder)
+		return core.SweepPipelinedCtx(ctx, g, pl, workers, opts.Recorder)
 	default:
-		return core.SweepCtx(ctx, g, pl, opts.Recorder)
+		return core.SweepParallelCtx(ctx, g, pl, workers, opts.Recorder)
 	}
 }
 
@@ -495,32 +503,6 @@ const (
 	EnginePipelined = core.SweepEnginePipelined
 	EngineSpill     = core.SweepEngineSpill
 )
-
-// resolveSweepEngine maps ClusterOptions to a concrete sweep engine. The
-// empty Engine keeps the pre-Engine behavior (Pipeline → pipelined,
-// Workers > 1 → parallel, else serial); EngineAuto consults the measured
-// op-count threshold with the pair list's true operation count (K2, the
-// exact number of operations the sweep will execute).
-func resolveSweepEngine(opts ClusterOptions, pl *PairList) (string, error) {
-	switch opts.Engine {
-	case "":
-		switch {
-		case opts.Pipeline:
-			return EnginePipelined, nil
-		case opts.Workers > 1:
-			return EngineParallel, nil
-		default:
-			return EngineSerial, nil
-		}
-	case EngineAuto:
-		return core.ChooseSweepEngine(pl.NumIncidentPairs(), opts.Workers, opts.Pipeline), nil
-	case EngineSerial, EngineParallel, EnginePipelined, EngineSpill:
-		return opts.Engine, nil
-	default:
-		return "", fmt.Errorf("linkclust: unknown sweep engine %q (want %q, %q, %q, %q, or %q)",
-			opts.Engine, EngineAuto, EngineSerial, EngineParallel, EnginePipelined, EngineSpill)
-	}
-}
 
 // Incremental streaming clustering. A Stream ingests edge arrivals and keeps
 // the clustering current: only the similarity rows an arrival can affect are

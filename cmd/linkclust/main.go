@@ -432,7 +432,7 @@ func cmdCluster(ctx context.Context, args []string, stdin io.Reader, stdout io.W
 		algo     = fs.String("algo", "sweep", "algorithm: sweep, coarse, nbm, slink")
 		workers  = fs.Int("workers", 1, "worker threads for init and the sweep/coarse phases")
 		pipeline = fs.Bool("pipeline", false, "sweep: overlap sorting with merging (output unchanged)")
-		engine   = fs.String("engine", "auto", "sweep engine: auto, serial, parallel, pipelined, spill (output identical; auto falls back to serial below a measured op-count threshold)")
+		engine   = fs.String("engine", "auto", "sweep engine: auto, serial, parallel, pipelined, spill (output identical; auto and parallel run the windowed engine at -workers, serial runs it at one worker)")
 		spillDir = fs.String("spill-dir", "", "sweep: spill similarity buckets to disk under this directory and sweep out of core (implies -engine spill; empty with -engine spill uses the system temp dir)")
 		relabel  = fs.Bool("relabel", false, "run phase I over a degree-relabeled graph for cache locality (output unchanged)")
 		stream   = fs.Bool("stream", false, "sweep: replay the input edges through the incremental stream engine (output unchanged)")
@@ -584,29 +584,24 @@ func cmdCluster(ctx context.Context, args []string, stdin io.Reader, stdout io.W
 		mergeStream = res.Merges
 		d = linkclust.NewDendrogram(res)
 	case *algo == "sweep":
-		// The parallel and pipelined engines reproduce the serial merge
-		// stream bitwise, so -workers, -engine, and -pipeline only change
-		// how the sweep runs, never what it outputs. -pipeline forces the
-		// pipelined engine (legacy behavior); otherwise -engine auto picks
-		// by the measured op-count threshold.
-		sel := *engine
-		switch {
-		case *pipeline:
+		// Every engine reproduces the reference merge stream bitwise, so
+		// -workers, -engine, and -pipeline only change how the sweep runs,
+		// never what it outputs. -pipeline forces the pipelined engine
+		// (legacy behavior); -engine auto picks the windowed engine at
+		// -workers; -engine serial is the windowed engine at one worker.
+		sel, sweepWorkers := core.ResolveSweepEngine(*engine, *workers, false)
+		if *pipeline {
 			sel = linkclust.EnginePipelined
-		case sel == linkclust.EngineAuto:
-			sel = core.ChooseSweepEngine(pl.NumIncidentPairs(), *workers, false)
 		}
 		rec.SetMeta("sweep_engine", sel)
 		var res *linkclust.Result
 		switch sel {
 		case linkclust.EngineSpill:
-			res, err = core.SweepSpilledOpts(ctx, g, pl, *workers, core.SpillOptions{Dir: *spillDir}, rec)
+			res, err = core.SweepSpilledOpts(ctx, g, pl, sweepWorkers, core.SpillOptions{Dir: *spillDir}, rec)
 		case linkclust.EnginePipelined:
-			res, err = core.SweepPipelinedCtx(ctx, g, pl, *workers, rec)
-		case linkclust.EngineParallel:
-			res, err = core.SweepParallelCtx(ctx, g, pl, *workers, rec)
+			res, err = core.SweepPipelinedCtx(ctx, g, pl, sweepWorkers, rec)
 		default:
-			res, err = core.SweepCtx(ctx, g, pl, rec)
+			res, err = core.SweepParallelCtx(ctx, g, pl, sweepWorkers, rec)
 		}
 		if err != nil {
 			return err

@@ -20,7 +20,7 @@ import (
 // the failure message — any other trigger is a regression in determinism.
 const (
 	goldenClusterSHA  = "acd8ee08ada0f030f60c9c94cac36a65c66d1d94744f3e18fadb6a8020d86e8c"
-	goldenCountersSHA = "427038e2c059a2de3862364b8c74ccbdf663850178c361d8c5fa315a1ba2b156"
+	goldenCountersSHA = "0ef6f2a87e426ea7ece48812bcf5208c0b4353a729a1354ddcfea508a7c104fe"
 	// goldenStreamCountersSHA pins the stream.* counters of the canonical
 	// golden-graph replay (batches of 512, a snapshot every fourth batch):
 	// like the engine counters above they are pure functions of the arrival

@@ -137,7 +137,7 @@ func Kernels(w io.Writer, cfg Config) error {
 			SweepSerialNs: serialNs.Nanoseconds(),
 			SweepCASNs:    casNs.Nanoseconds(),
 			CASRounds:     rec.Counter(core.CtrSweepCASRounds),
-			Engine:        core.ChooseSweepEngine(plain.NumIncidentPairs(), 8, false),
+			Engine:        core.ChooseSweepEngine(8, false),
 		}
 		report.Results = append(report.Results, res)
 		t.AddRow(wl.Alpha, res.Pairs, res.IncidentPairs,

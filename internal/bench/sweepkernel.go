@@ -33,13 +33,8 @@ type sweepKernelResult struct {
 	SpeedupT8 float64             `json:"speedup_t8"`
 
 	// Engine is what ClusterOptions.Engine "auto" selects for this row at
-	// T=8 on the benchmarking machine (core.ChooseSweepEngine on K2 and the
-	// normalized worker count); AutoNs/AutoSpeedup are the corresponding
-	// measurement — the serial row's own time when the fallback engages (by
-	// definition: the fallback runs the identical code path), the T=8
-	// parallel time otherwise. A row with SpeedupT8 < 1.0 and Engine
-	// "serial" is the regression auto selection fixes, not a regression of
-	// the auto policy.
+	// T=8 (core.ChooseSweepEngine: the windowed engine at every worker
+	// count); AutoNs/AutoSpeedup are its T=8 measurement.
 	Engine      string  `json:"engine"`
 	AutoNs      int64   `json:"auto_ns"`
 	AutoSpeedup float64 `json:"auto_speedup"`
@@ -77,8 +72,8 @@ func SweepKernel(w io.Writer, cfg Config) error {
 		Notes: []string{
 			"every parallel merge stream verified bitwise against serial before timing is accepted",
 			fmt.Sprintf("this machine exposes %d CPU core(s); parallel columns measure kernel cost, not scaling", runtime.NumCPU()),
-			"auto(T=8) reports the engine -engine auto selects on this machine and its speedup vs serial;",
-			"a serial fallback reuses the serial measurement by definition (identical code path), so its speedup is exactly 1.0",
+			"serial is the reference loop (core.Sweep); T=1 is the windowed engine the one-worker default path runs",
+			"auto(T=8) reports the engine -engine auto selects at T=8 and its speedup vs serial",
 		},
 	}
 	report := &sweepKernelReport{
@@ -149,13 +144,7 @@ func SweepKernel(w io.Writer, cfg Config) error {
 			row = append(row, formatSeconds(parNs))
 		}
 		end()
-		// What would "-engine auto" run here? Serial below the measured
-		// op-count threshold (or when this machine normalizes T=8 to one
-		// worker); the serial fallback is the very measurement above.
-		res.Engine = core.ChooseSweepEngine(res.IncidentPairs, 8, false)
-		if res.Engine == core.SweepEngineSerial {
-			res.AutoNs = serialNs.Nanoseconds()
-		}
+		res.Engine = core.ChooseSweepEngine(8, false)
 		if res.AutoNs > 0 {
 			res.AutoSpeedup = float64(serialNs) / float64(res.AutoNs)
 		}

@@ -7,10 +7,12 @@ import "linkclust/internal/par"
 // options payload. Every engine produces a bitwise-identical merge stream —
 // the choice trades scheduling overhead against parallel speedup only.
 const (
-	// SweepEngineAuto selects by measured op-count thresholds; see
+	// SweepEngineAuto selects by worker count and pipeline preference; see
 	// ChooseSweepEngine.
 	SweepEngineAuto = "auto"
-	// SweepEngineSerial is the paper's serial Algorithm 2.
+	// SweepEngineSerial is the windowed engine at one worker. The name stays
+	// accepted because journals, CLI flags and option payloads carry it;
+	// the paper's serial loop itself (Sweep) runs on no production path.
 	SweepEngineSerial = "serial"
 	// SweepEngineParallel is the windowed reservation engine
 	// (SweepParallel).
@@ -26,45 +28,32 @@ const (
 	SweepEngineSpill = "spill"
 )
 
-// SweepAutoMinOps is the incident-operation count (K2 — the sum of
-// |Common| over the pair list, i.e. exactly the sweep's op count) below
-// which auto selection runs the serial sweep: under it the parallel
-// engines' fixed costs (packed-adjacency build, window bookkeeping, pool
-// barriers, and the pipelined engine's partition pass) exceed what
-// parallelism recovers, producing the sub-1× rows the PR 6 bench curves
-// show at small α.
-//
-// Measured on the reference word-association workloads (vocab 4000, docs
-// 6000) with 8 workers oversubscribed onto one physical core — the most
-// adverse setting for the parallel engines, so on real multi-core hardware
-// the threshold errs toward serial, never toward a losing parallel run:
-//
-//	K2      speedup T=2  speedup T=8
-//	 30,940    0.32×        0.26×
-//	 80,450    0.85×        0.80×
-//	186,062    1.21×        1.23×
-//	356,819    1.40×        1.39×
-//
-// The crossover sits between 80k and 186k ops; 2^17 = 131,072 splits the
-// gap. See DESIGN.md ("Adaptive engine selection") for the full table and
-// methodology; regenerate with `lcbench -experiment sweepkernel`. A var,
-// not a const, so tests can force either side of the threshold.
-var SweepAutoMinOps = int64(1 << 17)
-
-// ChooseSweepEngine resolves the auto engine policy: serial below the
-// measured op-count threshold (or when workers normalize to 1 — parallel
-// scheduling can only lose there), otherwise the pipelined engine when
-// pipeline is requested and the windowed parallel engine when not. The
-// decision depends only on (ops, normalized workers, pipeline), never on
-// timing, so a given workload selects the same engine on every run — and
-// because every engine is bitwise-identical, even a different choice could
-// not change the output, only the speed.
-func ChooseSweepEngine(ops int64, workers int, pipeline bool) string {
-	if par.Normalize(workers) < 2 || ops < SweepAutoMinOps {
-		return SweepEngineSerial
-	}
-	if pipeline {
+// ChooseSweepEngine resolves the auto engine policy: the pipelined engine
+// when pipeline is requested and workers normalize to two or more (its
+// producer needs a second worker to sort while the engine merges), the
+// windowed engine otherwise — at one worker included, where it beats the
+// paper's serial loop on every measured workload graph (DESIGN.md, "Adaptive
+// engine selection"). The decision depends only on (normalized workers,
+// pipeline), never on timing, and because every engine is bitwise
+// identical, even a different choice could not change the output, only the
+// speed.
+func ChooseSweepEngine(workers int, pipeline bool) string {
+	if pipeline && par.Normalize(workers) >= 2 {
 		return SweepEnginePipelined
 	}
 	return SweepEngineParallel
+}
+
+// ResolveSweepEngine maps a requested engine name and worker count to the
+// engine that runs and the worker count it runs at: empty and auto resolve
+// through ChooseSweepEngine, serial is the windowed engine at one worker,
+// and every other name runs as given. Callers validate the name first.
+func ResolveSweepEngine(name string, workers int, pipeline bool) (string, int) {
+	switch name {
+	case "", SweepEngineAuto:
+		return ChooseSweepEngine(workers, pipeline), workers
+	case SweepEngineSerial:
+		return SweepEngineParallel, 1
+	}
+	return name, workers
 }

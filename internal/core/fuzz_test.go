@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -43,7 +44,7 @@ func fuzzGraph(data []byte) *graph.Graph {
 //   - merge similarities are non-increasing along the level sequence
 //     (the pair list is swept in descending similarity order),
 //   - the parallel engine reproduces the serial stream exactly at several
-//     worker counts.
+//     worker counts, and so does SweepCtx, the production one-worker sweep.
 func FuzzSweep(f *testing.F) {
 	f.Add([]byte{4, 0, 1, 1, 1, 2, 1, 2, 3, 1, 0, 2, 1})
 	f.Add([]byte{16, 0, 1, 0, 1, 2, 0, 2, 0, 0})
@@ -89,6 +90,11 @@ func FuzzSweep(f *testing.F) {
 				t.Fatalf("merge %d: similarity rose %v -> %v", i, serial.Merges[i-1].Sim, m.Sim)
 			}
 		}
+		one, err := SweepCtx(context.Background(), g, Similarity(g), nil)
+		if err != nil {
+			t.Fatalf("SweepCtx: %v", err)
+		}
+		requireIdenticalSweep(t, "fuzz SweepCtx vs serial", one, serial)
 		for _, workers := range []int{1, 2, 5, 8} {
 			par, err := SweepParallel(g, Similarity(g), workers)
 			if err != nil {

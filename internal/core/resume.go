@@ -95,7 +95,7 @@ func SweepResumeCtx(ctx context.Context, g *graph.Graph, pl *PairList, from *Swe
 	end := rec.Phase("sweep")
 	defer end()
 	endSort := rec.Phase("sort")
-	serr := pl.SortWorkersCtx(ctx, workers)
+	serr := pl.SortWorkersCtx(ctx, sortWorkers(workers))
 	endSort()
 	if serr != nil {
 		return nil, serr

@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 
-	"linkclust/internal/fault"
 	"linkclust/internal/graph"
 	"linkclust/internal/obs"
-	"linkclust/internal/par"
 )
 
 // Merge is one dendrogram event: at Level, clusters A and B fused into Into
@@ -43,6 +41,13 @@ func (r *Result) NumClusters() int { return r.Chain.NumClusters() }
 // sorted in place. An error is returned only if the pair list references an
 // edge absent from g, which indicates the list was built from a different
 // graph.
+//
+// Sweep (with SweepRecorded and Cluster) is the paper's loop kept as the
+// reference implementation: the independent oracle the golden, differential
+// and fuzz tests, lcbench's serial columns and perfbench compare the
+// production engines against. No production path runs it — ClusterCtx, the
+// daemon, the CLI and the stream engine all sweep with the windowed engine
+// (SweepParallelCtx), at one worker included.
 func Sweep(g *graph.Graph, pl *PairList) (*Result, error) {
 	return SweepRecorded(g, pl, nil)
 }
@@ -94,67 +99,12 @@ func SweepRecorded(g *graph.Graph, pl *PairList, rec *obs.Recorder) (*Result, er
 	return res, nil
 }
 
-// SweepCtx is the serial sweep with cooperative cancellation and panic
-// isolation: the context is checked once per sweepWindowOps incident-edge
-// operations — the same window granularity as the parallel engines, so all
-// sweeps share the one-window cancel-latency bound — and a panic inside the
-// sort comparator surfaces as a *par.WorkerPanicError instead of crashing
-// the process. Each checkpoint is also a fault.CancelWindow injection hit.
-// On error the pair list may be left partially sorted (its sorted flag stays
-// accurate) and the partial Result is discarded.
-func SweepCtx(ctx context.Context, g *graph.Graph, pl *PairList, rec *obs.Recorder) (res *Result, err error) {
-	defer par.RecoverPanicError(&err)
-	end := rec.Phase("sweep")
-	defer end()
-	endSort := rec.Phase("sort")
-	serr := pl.SortWorkersCtx(ctx, par.DefaultCap())
-	endSort()
-	if serr != nil {
-		return nil, serr
-	}
-	endMerge := rec.Phase("merge")
-	defer endMerge()
-	res = &Result{Chain: NewChain(g.NumEdges())}
-	sinceCheck := 0
-	for i := range pl.Pairs {
-		if sinceCheck >= sweepWindowOps {
-			sinceCheck = 0
-			fault.Hit(fault.CancelWindow)
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		p := &pl.Pairs[i]
-		sinceCheck += len(p.Common)
-		for _, k := range p.Common {
-			e1, ok1 := g.EdgeBetween(int(p.U), int(k))
-			e2, ok2 := g.EdgeBetween(int(p.V), int(k))
-			if !ok1 || !ok2 {
-				return nil, fmt.Errorf("core: pair (%d,%d) common neighbor %d has no incident edges in graph", p.U, p.V, k)
-			}
-			res.PairsProcessed++
-			if c1, c2, merged := res.Chain.Merge(e1, e2); merged {
-				res.Levels++
-				into := c1
-				if c2 < into {
-					into = c2
-				}
-				res.Merges = append(res.Merges, Merge{
-					Level: res.Levels,
-					A:     c1,
-					B:     c2,
-					Into:  into,
-					Sim:   p.Sim,
-				})
-			}
-		}
-	}
-	if rec != nil {
-		rec.Add(CtrSweepPairsProcessed, res.PairsProcessed)
-		rec.Add(CtrSweepChainRewrites, res.Chain.Changes())
-		rec.Add(CtrSweepMerges, int64(len(res.Merges)))
-	}
-	return res, nil
+// SweepCtx runs the windowed engine at one worker: SweepParallelCtx with
+// workers = 1, sorting with par.DefaultCap like every one-worker sweep. It
+// is the cancellable production sweep for one worker; the merge stream is
+// bitwise identical to Sweep.
+func SweepCtx(ctx context.Context, g *graph.Graph, pl *PairList, rec *obs.Recorder) (*Result, error) {
+	return SweepParallelCtx(ctx, g, pl, 1, rec)
 }
 
 // Cluster is the serial end-to-end pipeline: Algorithm 1 followed by

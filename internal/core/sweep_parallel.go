@@ -38,10 +38,10 @@ const (
 	CtrSweepCASRounds = "sweep.cas_rounds"
 )
 
-// Engine tuning. Every threshold is a function of operation counts only —
-// never of the worker count — so the engine's control flow (which operations
-// are selected, deferred, dropped, or drained in which round) is identical
-// for any number of workers. The merge stream's bitwise equality across
+// Engine tuning. Every threshold is a function of operation counts (and of
+// how many ops a round retired) only — never of the worker count — so the
+// engine's control flow (which operations are selected, deferred, dropped,
+// or drained in which round) is identical for any number of workers. The merge stream's bitwise equality across
 // worker counts follows by construction: a round's selection is a pure
 // function of the (c1, c2) pairs of its pending ops — computed either by the
 // serial claim scan or by the equivalent lock-free min-reservation pass (see
@@ -52,7 +52,9 @@ const (
 	sweepWindowOps = 8192
 	// sweepDrainOps is the pending-residue size below which a window is
 	// finished by the serial drain: conflict-heavy tails retire ~1 op per
-	// round, where barrier overhead would dominate.
+	// round, where barrier overhead would dominate. A window also drains
+	// early after any round that retired under a quarter of its pending ops
+	// (see window), which bounds deferrals by three times the window's ops.
 	sweepDrainOps = 96
 	// sweepParMinOps is the per-phase work floor for goroutine fan-out;
 	// smaller phases run inline on the calling goroutine.
@@ -116,7 +118,7 @@ func SweepParallelCtx(ctx context.Context, g *graph.Graph, pl *PairList, workers
 	end := rec.Phase("sweep")
 	defer end()
 	endSort := rec.Phase("sort")
-	serr := pl.SortWorkersCtx(ctx, workers)
+	serr := pl.SortWorkersCtx(ctx, sortWorkers(workers))
 	endSort()
 	if serr != nil {
 		return nil, serr
@@ -131,6 +133,17 @@ func SweepParallelCtx(ctx context.Context, g *graph.Graph, pl *PairList, workers
 	}
 	recordSweepEngine(rec, e)
 	return res, nil
+}
+
+// sortWorkers is the sort's worker count for a sweep at the given normalized
+// worker count: a one-worker sweep still sorts with par.DefaultCap, as the
+// one-worker production path always has, so moving that path onto the engine
+// changes Phase II only.
+func sortWorkers(workers int) int {
+	if workers < 2 {
+		return par.DefaultCap()
+	}
+	return workers
 }
 
 // sweepEngine holds the shared chain, the per-window operation buffers
@@ -342,10 +355,10 @@ func (e *sweepEngine) window(p0, p1, w int) error {
 		pend = append(pend, int32(j))
 		e.evA[j] = -1
 	}
-	first := true
+	first, stalled := true, false
 	for len(pend) > 0 {
 		e.rounds++
-		if len(pend) <= sweepDrainOps {
+		if stalled || len(pend) <= sweepDrainOps {
 			e.drain(pend)
 			e.drains++
 			break
@@ -370,6 +383,12 @@ func (e *sweepEngine) window(p0, p1, w int) error {
 			e.apply(sel)
 		}
 		first = false
+		// A round that retired (selected or dropped) under a quarter of its
+		// ops hands the residue to the drain: such windows are hub-heavy,
+		// and further rounds would each rescan the whole pending list to
+		// retire a few ops. The test reads only the round's selection, which
+		// is worker-invariant, and the drain is exact at any round boundary.
+		stalled = 4*(len(pend)-len(e.next)) < len(pend)
 		pend, e.next = e.next, pend
 	}
 	e.pend = pend[:0]
@@ -894,8 +913,12 @@ func reserveMin(resv []int64, cl int32, base, tag int64) {
 }
 
 // drain retires a window's residue with exact serial semantics: find, merge,
-// record — one op at a time, in serial-index order. Its trigger is a pure
-// op-count threshold, so whether a window drains is worker-independent.
+// record — one op at a time, in serial-index order. It is exact at any round
+// boundary: every op still pending follows, in serial order, all ops already
+// applied that share a cluster with it. Its triggers — a residue of at most
+// sweepDrainOps, or a round that retired under a quarter of its ops — read
+// only op counts and the round's selection, so whether and where a window
+// drains is worker-independent.
 func (e *sweepEngine) drain(pend []int32) {
 	c := e.ch.c
 	var changes int64

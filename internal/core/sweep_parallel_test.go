@@ -131,12 +131,15 @@ func TestSweepParallelErrorParity(t *testing.T) {
 
 // TestSweepParallelCounters checks the recorded instrumentation against the
 // result: the op/merge counters must agree with the returned Result, and the
-// engine's accounting identity must hold — every operation is retired exactly
-// once, as either a merge event or a no-op drop.
+// engine's accounting identities must hold — every operation is retired
+// exactly once, as either a merge event or a no-op drop; every window with a
+// survivor of resolution takes at least one round (a window whose ops all
+// drop during resolution takes none); and a window drains at most once.
 func TestSweepParallelCounters(t *testing.T) {
 	g := graph.ErdosRenyi(200, 0.08, rng.New(4))
 	rec := obs.New()
-	res, err := SweepParallelRecorded(g, Similarity(g), 4, rec)
+	pl := Similarity(g)
+	res, err := SweepParallelRecorded(g, pl, 4, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,14 +152,55 @@ func TestSweepParallelCounters(t *testing.T) {
 	if got := rec.Counter(CtrSweepChainRewrites); got != res.Chain.Changes() {
 		t.Fatalf("rewrites counter %d, want %d", got, res.Chain.Changes())
 	}
-	if rec.Counter(CtrSweepWindows) < 1 {
-		t.Fatal("no windows recorded")
+	windows, live := windowsWithSurvivors(t, g, pl)
+	if got := rec.Counter(CtrSweepWindows); got != windows {
+		t.Fatalf("windows counter %d, want %d", got, windows)
 	}
-	if rec.Counter(CtrSweepRounds) < rec.Counter(CtrSweepWindows) {
-		t.Fatalf("rounds %d < windows %d", rec.Counter(CtrSweepRounds), rec.Counter(CtrSweepWindows))
+	if live < 1 {
+		t.Fatal("no window has a survivor; the graph no longer exercises rounds")
+	}
+	if got := rec.Counter(CtrSweepRounds); got < live {
+		t.Fatalf("rounds %d < %d windows with a survivor", got, live)
+	}
+	if got := rec.Counter(CtrSweepSerialDrains); got > windows {
+		t.Fatalf("serial drains %d > windows %d", got, windows)
 	}
 	retired := rec.Counter(CtrSweepMerges) + rec.Counter(CtrSweepNoopDrops)
 	if retired != res.PairsProcessed {
 		t.Fatalf("merges + drops = %d, want every op retired once (%d)", retired, res.PairsProcessed)
 	}
+}
+
+// windowsWithSurvivors replays the sorted pair list through the reference
+// loop, cut into the engine's windows (greedy, at least sweepWindowOps ops
+// each, never splitting a pair), and counts the windows and those with a
+// survivor of resolution — an op whose edges are in different clusters
+// before the window starts. A window has one exactly when it merges: its
+// first survivor follows only ops that change nothing, so it merges at its
+// serial position.
+func windowsWithSurvivors(t *testing.T, g *graph.Graph, pl *PairList) (windows, live int64) {
+	t.Helper()
+	ch := NewChain(g.NumEdges())
+	ops, merged := 0, false
+	for i := range pl.Pairs {
+		p := &pl.Pairs[i]
+		for _, k := range p.Common {
+			e1, _ := g.EdgeBetween(int(p.U), int(k))
+			e2, _ := g.EdgeBetween(int(p.V), int(k))
+			if _, _, ok := ch.Merge(e1, e2); ok {
+				merged = true
+			}
+		}
+		ops += len(p.Common)
+		if ops >= sweepWindowOps || i == len(pl.Pairs)-1 {
+			if ops > 0 {
+				windows++
+				if merged {
+					live++
+				}
+			}
+			ops, merged = 0, false
+		}
+	}
+	return windows, live
 }

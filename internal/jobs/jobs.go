@@ -49,9 +49,10 @@ type Options struct {
 	// affect the output.
 	Pipeline bool `json:"pipeline,omitempty"`
 	// Engine selects the sweep engine for AlgoSweep jobs: "auto" (the
-	// default — serial below the measured op-count threshold, otherwise
-	// Workers/Pipeline decide), "serial", "parallel", "pipelined", or
-	// "spill" (the out-of-core sweep over the daemon's spill directory).
+	// default — the windowed engine at Workers, or the pipelined one when
+	// Pipeline is set and Workers > 1), "serial" (the windowed engine at
+	// one worker), "parallel", "pipelined", or "spill" (the out-of-core
+	// sweep over the daemon's spill directory).
 	// Does not affect the output, so it is excluded from result cache keys
 	// like Workers and Pipeline — spilled results are cacheable under the
 	// same keys precisely because the spilled merge stream is bitwise
@@ -59,7 +60,8 @@ type Options struct {
 	Engine string `json:"engine,omitempty"`
 	// TimeoutMS bounds the job's run time; 0 inherits the manager default.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// MemBudgetBytes is the per-job soft live-heap growth budget; on breach
+	// MemBudgetBytes is the per-job soft live-heap growth budget, charging
+	// at least the encoded size of a pair list the job computed; on breach
 	// at the init/sweep boundary the job first spills the pair list to disk
 	// and sweeps out of core (bitwise-identical output, still cacheable),
 	// degrading fine→coarse only if the spill itself fails (see

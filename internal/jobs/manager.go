@@ -632,6 +632,9 @@ func (m *Manager) execute(ctx context.Context, j *Job, rec *linkclust.Recorder) 
 		// the durable entry serializes the same master order.
 		m.cache.putPairs(j.graphKey, pl)
 		m.store.savePairs(j.graphKey, pl)
+		if budget != nil {
+			budget.Reserve(core.SpillPayloadBytes(pl))
+		}
 	}
 
 	// Budget breach at the phase boundary. A sweep job first tries the
@@ -699,31 +702,35 @@ func (m *Manager) execute(ctx context.Context, j *Job, rec *linkclust.Recorder) 
 			err  error
 		)
 		// Engine choice cannot change the output (all engines are bitwise
-		// identical), so the daemon defaults to "auto": serial below the
-		// measured op-count threshold — where parallel scheduling only adds
-		// overhead — and the Workers/Pipeline-selected engine above it.
-		engine := j.Options.Engine
-		if engine == "" || engine == linkclust.EngineAuto {
-			engine = core.ChooseSweepEngine(pl.NumIncidentPairs(), j.Options.Workers, j.Options.Pipeline)
-		}
-		// Checkpointed execution replaces the windowed-parallel engine when
-		// persistence is on (same engine plus state capture — output stays
-		// bitwise identical), and unconditionally when the job carries a
-		// replayed checkpoint: the resumed sweep replays only pairs past the
-		// checkpoint and emits the identical merge stream.
-		checkpointing := m.store.enabled() && m.cfg.CheckpointOps > 0 && engine == linkclust.EngineParallel
+		// identical), so the daemon defaults to "auto": the windowed engine
+		// at the job's worker count, or the pipelined one when requested
+		// with a second worker. "serial" is the windowed engine at one
+		// worker. A job carrying a replayed checkpoint always resumes on the
+		// windowed engine, which replays only pairs past the checkpoint and
+		// emits the identical merge stream.
+		engine, workers := core.ResolveSweepEngine(j.Options.Engine, j.Options.Workers, j.Options.Pipeline)
 		if j.resume != nil {
 			engine = linkclust.EngineParallel
-			checkpointing = checkpointing || m.store.enabled() && m.cfg.CheckpointOps > 0
 			rec.SetMeta("resumed_from_pos", strconv.Itoa(j.resume.Pos))
 			m.mResumed.Add(1)
 		}
 		rec.SetMeta("sweep_engine", engine)
-		switch {
-		case engine == linkclust.EngineParallel && (checkpointing || j.resume != nil):
+		switch engine {
+		case linkclust.EnginePipelined:
+			sres, err = linkclust.SweepPipelinedCtx(ctx, g, pl, workers, rec)
+		case linkclust.EngineSpill:
+			sres, err = linkclust.SweepSpilledCtx(ctx, g, pl, workers, m.cfg.SpillDir, rec)
+			if err == nil {
+				res.Spilled = true
+				m.mSpilled.Add(1)
+			}
+		default:
+			// The windowed engine checkpoints whenever persistence is on
+			// (same engine plus state capture — output stays bitwise
+			// identical).
 			var save func(core.SweepState)
 			saveEvery := 0
-			if checkpointing {
+			if m.store.enabled() && m.cfg.CheckpointOps > 0 {
 				saveEvery = m.cfg.CheckpointOps
 				total := len(pl.Pairs)
 				save = func(st core.SweepState) {
@@ -738,19 +745,7 @@ func (m *Manager) execute(ctx context.Context, j *Job, rec *linkclust.Recorder) 
 					}
 				}
 			}
-			sres, err = core.SweepResumeCtx(ctx, g, pl, j.resume, j.Options.Workers, saveEvery, save, rec)
-		case engine == linkclust.EnginePipelined:
-			sres, err = linkclust.SweepPipelinedCtx(ctx, g, pl, j.Options.Workers, rec)
-		case engine == linkclust.EngineParallel:
-			sres, err = linkclust.SweepParallelCtx(ctx, g, pl, j.Options.Workers, rec)
-		case engine == linkclust.EngineSpill:
-			sres, err = linkclust.SweepSpilledCtx(ctx, g, pl, j.Options.Workers, m.cfg.SpillDir, rec)
-			if err == nil {
-				res.Spilled = true
-				m.mSpilled.Add(1)
-			}
-		default:
-			sres, err = linkclust.SweepCtx(ctx, g, pl, rec)
+			sres, err = core.SweepResumeCtx(ctx, g, pl, j.resume, workers, saveEvery, save, rec)
 		}
 		if err != nil {
 			return nil, nil, pairsHit, err

@@ -1,10 +1,12 @@
 package jobs
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
 	"linkclust"
+	"linkclust/internal/core"
 	"linkclust/internal/fault"
 )
 
@@ -234,5 +236,75 @@ func TestPersistentDegradedJournal(t *testing.T) {
 	}
 	if mt := m2.Metrics(); mt.JournalReplayed != 0 {
 		t.Fatalf("journal_records_replayed = %d after degraded run, want 0", mt.JournalReplayed)
+	}
+}
+
+// TestPersistentSerialEngineResumes replays a journaled one-worker submit
+// ("engine":"serial"). The job runs on the windowed engine at one worker,
+// which checkpoints like any windowed job, so a drain at its fourth window
+// cut leaves checkpoints behind. The restart must resume the job from one on
+// the windowed engine and serve merges bitwise equal to the reference loop's.
+func TestPersistentSerialEngineResumes(t *testing.T) {
+	resetJobFaults(t)
+	dir := t.TempDir()
+	text := graphText(t, 300, 203)
+	g, err := linkclust.ReadGraph(bytes.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := linkclust.Sweep(g, linkclust.Similarity(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := core.WriteMerges(&want, g.NumEdges(), ref.Merges); err != nil {
+		t.Fatal(err)
+	}
+
+	m1 := openPersistent(t, Config{Concurrency: 1, StateDir: dir, CheckpointOps: 1})
+	drained := make(chan struct{})
+	// At the fourth window cut, start the drain and hold the sweep until the
+	// drain has cancelled it, so the job stops mid-sweep with three windows
+	// checkpointed and no terminal record.
+	fault.Arm(fault.CancelWindow, 4, func() {
+		go func() { m1.Drain(); close(drained) }()
+		for m1.baseCtx.Err() == nil {
+			time.Sleep(time.Millisecond)
+		}
+	})
+	st, err := m1.Submit(text, Options{Engine: linkclust.EngineSerial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-drained:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the job never reached its fourth window")
+	}
+	fault.Reset()
+
+	m2 := openPersistent(t, Config{Concurrency: 1, StateDir: dir, CheckpointOps: 1})
+	defer m2.Close()
+	got := waitState(t, m2, st.ID)
+	if got.State != StateDone {
+		t.Fatalf("resumed job %s (%s)", got.State, got.Error)
+	}
+	merges, err := m2.Merges(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(merges, want.Bytes()) {
+		t.Fatal("resumed one-worker job's merges differ from the reference Sweep")
+	}
+	if mt := m2.Metrics(); mt.JobsRecovered < 1 || mt.JobsResumed < 1 {
+		t.Fatalf("jobs_recovered = %d, jobs_resumed_from_checkpoint = %d, want both >= 1",
+			mt.JobsRecovered, mt.JobsResumed)
+	}
+	rep, err := m2.Report(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := rep.Meta["sweep_engine"]; e != linkclust.EngineParallel {
+		t.Fatalf("sweep_engine = %q, want %q", e, linkclust.EngineParallel)
 	}
 }

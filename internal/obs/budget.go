@@ -48,6 +48,7 @@ func LiveHeapBytes() uint64 {
 type MemBudget struct {
 	limit     int64
 	baseHeap  uint64
+	reserved  int64
 	lastDelta int64
 	sample    [1]metrics.Sample
 }
@@ -65,8 +66,20 @@ func NewMemBudget(limitBytes int64) *MemBudget {
 	return b
 }
 
+// Reserve charges bytes the run is known to hold live, such as the pair list
+// it just built, as a floor under the measured growth. The live-heap sample
+// alone can read low: it still counts garbage that predates the budget, and
+// a GC that sweeps that garbage between construction and the check offsets
+// the run's own allocations. A nil budget ignores the call.
+func (b *MemBudget) Reserve(bytes int64) {
+	if b != nil {
+		b.reserved += bytes
+	}
+}
+
 // Exceeded reports whether the live heap has grown past the budget since
-// construction, recording the observed delta for Used. The read is a
+// construction — or the bytes charged through Reserve have, whichever is
+// larger — recording the charged delta for Used. The read is a
 // stop-the-world-free runtime/metrics sample costing well under a
 // microsecond, cheap enough for per-job admission checks. The
 // fault.MemBreach injection point is checked first: a firing hit reports a
@@ -81,13 +94,13 @@ func (b *MemBudget) Exceeded() bool {
 		return true
 	}
 	metrics.Read(b.sample[:])
-	b.lastDelta = int64(b.sample[0].Value.Uint64()) - int64(b.baseHeap)
+	b.lastDelta = max(int64(b.sample[0].Value.Uint64())-int64(b.baseHeap), b.reserved)
 	return b.lastDelta > b.limit
 }
 
-// Used returns the live-heap delta observed by the last Exceeded call (0
-// before the first call, or on a nil budget). Negative values mean a GC
-// freed more than the run retained.
+// Used returns the delta charged by the last Exceeded call (0 before the
+// first call, or on a nil budget). Negative values mean a GC freed more than
+// the run retained and nothing was reserved.
 func (b *MemBudget) Used() int64 {
 	if b == nil {
 		return 0

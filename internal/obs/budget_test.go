@@ -78,3 +78,26 @@ func BenchmarkLiveHeapBytes(b *testing.B) {
 		LiveHeapBytes()
 	}
 }
+
+// TestMemBudgetReserveFloor pins the reservation floor: bytes charged
+// through Reserve count as growth even when the live-heap sample reads
+// less, as it does after a GC sweeps garbage older than the budget.
+func TestMemBudgetReserveFloor(t *testing.T) {
+	b := NewMemBudget(1 << 30)
+	b.Reserve(1 << 20)
+	if b.Exceeded() {
+		t.Fatalf("1 MiB reserved under a 1 GiB budget reported a breach (delta %d)", b.Used())
+	}
+	if b.Used() < 1<<20 {
+		t.Fatalf("Used() = %d, want at least the 1 MiB reserved", b.Used())
+	}
+	b.Reserve(1 << 30)
+	if !b.Exceeded() {
+		t.Fatalf("reservations past the limit did not breach (delta %d)", b.Used())
+	}
+	var nilBudget *MemBudget
+	nilBudget.Reserve(1 << 40)
+	if nilBudget.Exceeded() {
+		t.Fatal("nil budget exceeded after Reserve")
+	}
+}

@@ -189,25 +189,14 @@ type ClusterOptions struct {
 	// Recorder, when non-nil, collects phase timers and counters for the
 	// run; call Recorder.Report to obtain the RunReport.
 	Recorder *Recorder
-	// Pipeline selects the sort-overlapped sweep (SweepPipelined) instead of
-	// the windowed parallel sweep when Workers > 1. Output is bitwise
-	// identical either way.
-	Pipeline bool
-	// Engine selects the sweeping engine explicitly: EngineParallel,
-	// EnginePipelined, EngineSpill, EngineSerial (the windowed engine at one
-	// worker, whatever Workers says), or EngineAuto (also the empty
-	// default), which picks the pipelined engine when Pipeline is set and
-	// Workers > 1 and the windowed engine at Workers otherwise (see
-	// core.ChooseSweepEngine). Every engine is bitwise identical — Engine
-	// affects speed only. The resolved engine is recorded on the Recorder's
-	// run report as meta key "sweep_engine"; EngineSerial records as
-	// EngineParallel.
+	// Engine selects the sweeping engine: EngineSpill runs the out-of-core
+	// sweep, EngineSerial the windowed engine at one worker whatever
+	// Workers says, and EngineAuto (also the empty default), EngineParallel
+	// and the legacy EnginePipelined the windowed engine at Workers. Every
+	// engine is bitwise identical — Engine affects speed and memory only.
+	// The resolved engine is recorded on the Recorder's run report as meta
+	// key "sweep_engine": EngineParallel or EngineSpill.
 	Engine string
-	// Relabel routes the initialization phase through the degree-ordered
-	// relabeled kernel (SimilarityRelabeled): vertices are renamed by
-	// descending degree for cache locality and every output is mapped back
-	// to original ids, so results are bitwise identical with or without it.
-	Relabel bool
 	// MemBudgetBytes, when positive, sets a soft live-heap budget for
 	// ClusterCtx: heap growth is measured from entry and checked at the
 	// initialization/sweep phase boundary, charging at least the pair
@@ -248,25 +237,6 @@ func SimilarityParallel(g *Graph, workers int) *PairList {
 	return core.SimilarityParallel(g, workers)
 }
 
-// SimilarityRelabeled runs the initialization phase over a degree-ordered
-// relabeled copy of the graph — vertices renamed by descending degree so hub
-// rows share cache lines in the wedge kernel's scratch — and maps every
-// output back to original ids: pairs, common-neighbor lists, and the master
-// order are bitwise identical to Similarity/SimilarityParallel for any
-// worker count. Edge ids are untouched by relabeling, so dendrograms and
-// chain arrays built downstream need no translation. workers is normalized
-// as in SimilarityParallel.
-func SimilarityRelabeled(g *Graph, workers int) *PairList {
-	return core.SimilarityRelabeled(g, workers)
-}
-
-// SimilarityRelabeledCtx is SimilarityRelabeled with cooperative
-// cancellation, panic isolation, and optional instrumentation, mirroring
-// SimilarityCtx.
-func SimilarityRelabeledCtx(ctx context.Context, g *Graph, workers int, rec *Recorder) (*PairList, error) {
-	return core.SimilarityRelabeledCtx(ctx, g, workers, rec)
-}
-
 // SimilarityLegacy runs the initialization phase through the original
 // global hash-map accumulator — the paper's Section VI-A scheme, kept as
 // the differential-testing reference and benchmark baseline. After Sort its
@@ -296,24 +266,12 @@ func SweepParallel(g *Graph, pl *PairList, workers int) (*Result, error) {
 	return core.SweepParallel(g, pl, workers)
 }
 
-// SweepPipelined runs the sweeping phase with the sort overlapped: the pair
-// list is MSD-radix partitioned on its similarity bits into buckets that
-// descend in similarity across bucket order, and the reservation engine of
-// SweepParallel consumes bucket k (sorted on arrival) while buckets k+1, ...
-// are still being sorted — removing the monolithic Sort barrier between the
-// two phases. The output is exact: the merge stream is bitwise identical to
-// Sweep and the pair list finishes fully sorted in place, for any worker
-// count. workers is normalized exactly as in SimilarityParallel.
-func SweepPipelined(g *Graph, pl *PairList, workers int) (*Result, error) {
-	return core.SweepPipelined(g, pl, workers)
-}
-
 // SweepSpilled runs the sweeping phase out of core: the pair list is
 // radix-partitioned into per-similarity-bucket spill files (in a private
 // directory under os.TempDir(), removed on every exit path), the in-memory
-// list is released, and the buckets stream back from disk through the same
-// frontier-fed engine the pipelined sweep drives — so the pair list never
-// has to be memory-resident during the merge. The merge stream is bitwise
+// list is released, and the buckets stream back from disk through the
+// windowed engine of SweepParallel — so the pair list never has to be
+// memory-resident during the merge. The merge stream is bitwise
 // identical to Sweep at any worker count. SweepSpilled consumes pl: on
 // success pl.Pairs is nil; only a write-phase disk failure leaves it
 // intact. workers is normalized exactly as in SimilarityParallel.
@@ -361,16 +319,6 @@ func ClusterParallel(g *Graph, workers int) (*Result, error) {
 	return core.SweepParallel(g, core.SimilarityParallel(g, workers), workers)
 }
 
-// ClusterPipelined runs the fully pipelined fine-grained pipeline: the
-// parallel initialization phase followed by the sort-overlapped sweep of
-// SweepPipelined. Output is bitwise identical to Cluster and ClusterParallel
-// for any worker count; on multi-core machines it additionally hides the
-// K1·log K1 sort behind merge wall-clock. workers is normalized exactly as
-// in SimilarityParallel.
-func ClusterPipelined(g *Graph, workers int) (*Result, error) {
-	return core.ClusterPipelined(g, workers)
-}
-
 // ClusterInstrumented runs the fine-grained pipeline (parallel
 // initialization, then the windowed sweep engine at opts.Workers) with
 // optional instrumentation: phase wall times, the pairs-processed /
@@ -408,21 +356,10 @@ func SweepParallelCtx(ctx context.Context, g *Graph, pl *PairList, workers int, 
 	return core.SweepParallelCtx(ctx, g, pl, workers, rec)
 }
 
-// SweepPipelinedCtx is SweepPipelined with cooperative cancellation, panic
-// isolation, and optional instrumentation. Cancellation points are the
-// engine's window cuts (consumer) and the bucket claims/publishes of the
-// sorting producer; shutdown is clean on both sides — the producer is never
-// left blocked on the frontier channel. On cancellation the pair list is left
-// unsorted but still a valid permutation, so it can be reused. When ctx never
-// cancels, output is bitwise identical to Sweep.
-func SweepPipelinedCtx(ctx context.Context, g *Graph, pl *PairList, workers int, rec *Recorder) (*Result, error) {
-	return core.SweepPipelinedCtx(ctx, g, pl, workers, rec)
-}
-
 // ClusterCtx is the cancellable, fault-tolerant end-to-end pipeline:
-// SimilarityCtx followed by the sweep selected by opts (pipelined when
-// opts.Pipeline and opts.Workers > 1, the windowed engine otherwise — at one
-// worker included), with opts.MemBudgetBytes optionally degrading the run to
+// SimilarityCtx followed by the sweep selected by opts.Engine (the windowed
+// engine at opts.Workers unless spill or serial is named), with
+// opts.MemBudgetBytes optionally spilling the run to disk or degrading it to
 // coarse-grained clustering at the phase boundary (see ClusterOptions).
 // Cancellation is honored within one scheduling window at every stage;
 // worker panics surface as *WorkerPanicError; and when ctx never cancels, no
@@ -430,15 +367,7 @@ func SweepPipelinedCtx(ctx context.Context, g *Graph, pl *PairList, workers int,
 // to Cluster.
 func ClusterCtx(ctx context.Context, g *Graph, opts ClusterOptions) (*Result, error) {
 	budget := obs.NewMemBudget(opts.MemBudgetBytes)
-	var (
-		pl  *PairList
-		err error
-	)
-	if opts.Relabel {
-		pl, err = core.SimilarityRelabeledCtx(ctx, g, opts.Workers, opts.Recorder)
-	} else {
-		pl, err = core.SimilarityCtx(ctx, g, opts.Workers, opts.Recorder)
-	}
+	pl, err := core.SimilarityCtx(ctx, g, opts.Workers, opts.Recorder)
 	if err != nil {
 		return nil, err
 	}
@@ -475,27 +404,22 @@ func ClusterCtx(ctx context.Context, g *Graph, opts ClusterOptions) (*Result, er
 		}
 		return coarseToResult(cres), nil
 	}
-	switch opts.Engine {
-	case "", EngineAuto, EngineSerial, EngineParallel, EnginePipelined, EngineSpill:
-	default:
-		return nil, fmt.Errorf("linkclust: unknown sweep engine %q (want %q, %q, %q, %q, or %q)",
-			opts.Engine, EngineAuto, EngineSerial, EngineParallel, EnginePipelined, EngineSpill)
+	engine, workers, err := core.ResolveSweepEngine(opts.Engine, opts.Workers)
+	if err != nil {
+		return nil, fmt.Errorf("linkclust: %w", err)
 	}
-	engine, workers := core.ResolveSweepEngine(opts.Engine, opts.Workers, opts.Pipeline)
 	opts.Recorder.SetMeta("sweep_engine", engine)
-	switch engine {
-	case core.SweepEngineSpill:
+	if engine == EngineSpill {
 		return core.SweepSpilledOpts(ctx, g, pl, workers,
 			core.SpillOptions{Dir: opts.SpillDir}, opts.Recorder)
-	case core.SweepEnginePipelined:
-		return core.SweepPipelinedCtx(ctx, g, pl, workers, opts.Recorder)
-	default:
-		return core.SweepParallelCtx(ctx, g, pl, workers, opts.Recorder)
 	}
+	return core.SweepParallelCtx(ctx, g, pl, workers, opts.Recorder)
 }
 
-// Sweep engine names accepted by ClusterOptions.Engine. Every engine yields
-// a bitwise-identical merge stream; the choice affects speed only.
+// Sweep engine names accepted by ClusterOptions.Engine. Every name yields
+// a bitwise-identical merge stream; the choice affects speed and memory
+// only. EnginePipelined is a legacy name for the windowed engine, accepted
+// so stored options and payloads that carry it still run.
 const (
 	EngineAuto      = core.SweepEngineAuto
 	EngineSerial    = core.SweepEngineSerial

@@ -289,42 +289,50 @@ func TestGraphWorkersFlagMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestClusterPipelineFlagMatchesPlain(t *testing.T) {
+// TestClusterLegacyPipelinedEngineMatchesPlain: -engine pipelined is a
+// legacy name that scripts may still pass. It must be accepted, run (and
+// report) the windowed engine, and save a merge stream bitwise equal to the
+// default run's.
+func TestClusterLegacyPipelinedEngineMatchesPlain(t *testing.T) {
 	gtext := pipeline(t)
 	dir := t.TempDir()
 	plain := dir + "/plain.bin"
-	piped := dir + "/piped.bin"
+	legacy := dir + "/legacy.bin"
+	report := dir + "/legacy.json"
 	var out bytes.Buffer
 	if err := run(context.Background(), []string{"cluster", "-algo", "sweep", "-save-merges", plain}, strings.NewReader(gtext), &out); err != nil {
 		t.Fatal(err)
 	}
 	out.Reset()
-	err := run(context.Background(), []string{"cluster", "-algo", "sweep", "-pipeline", "-workers", "4", "-save-merges", piped},
-		strings.NewReader(gtext), &out)
+	err := run(context.Background(), []string{"cluster", "-algo", "sweep", "-engine", "pipelined", "-workers", "4",
+		"-save-merges", legacy, "-report", report}, strings.NewReader(gtext), &out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "pipelined") {
-		t.Fatalf("pipelined run not labeled:\n%s", out.String())
+	if !strings.Contains(out.String(), "engine=parallel") {
+		t.Fatalf("legacy engine name not resolved to the windowed engine:\n%s", out.String())
+	}
+	raw, err := os.ReadFile(report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep linkclust.RunReport
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if e := rep.Meta["sweep_engine"]; e != linkclust.EngineParallel {
+		t.Fatalf("sweep_engine = %q, want %q", e, linkclust.EngineParallel)
 	}
 	a, err := os.ReadFile(plain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(piped)
+	b, err := os.ReadFile(legacy)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a, b) {
-		t.Fatal("-pipeline changed the merge stream")
-	}
-}
-
-func TestClusterPipelineFlagRequiresSweep(t *testing.T) {
-	var out bytes.Buffer
-	err := run(context.Background(), []string{"cluster", "-algo", "coarse", "-pipeline"}, strings.NewReader("vertices 2\nedge 0 1 1\n"), &out)
-	if err == nil {
-		t.Fatal("-pipeline accepted with -algo coarse")
+		t.Fatal("-engine pipelined changed the merge stream")
 	}
 }
 

@@ -26,7 +26,7 @@ func resetFaults(t *testing.T) {
 }
 
 // TestFaultDisarmedMatchesGolden is the harness's control arm: no fault
-// armed, every Ctx engine at several worker counts, golden output. Combined
+// armed, both engines at several worker counts, golden output. Combined
 // with the per-fault tests below it establishes that the injection points
 // themselves (pure atomic loads when disarmed) do not perturb the schedule.
 func TestFaultDisarmedMatchesGolden(t *testing.T) {
@@ -36,13 +36,13 @@ func TestFaultDisarmedMatchesGolden(t *testing.T) {
 	}
 	g := goldenGraph(t)
 	for _, workers := range []int{1, 4, 8} {
-		for _, pipeline := range []bool{false, true} {
-			res, err := ClusterCtx(context.Background(), g, ClusterOptions{Workers: workers, Pipeline: pipeline})
+		for _, engine := range []string{EngineAuto, EngineSpill} {
+			res, err := ClusterCtx(context.Background(), g, ClusterOptions{Workers: workers, Engine: engine})
 			if err != nil {
-				t.Fatalf("T=%d pipeline=%v: %v", workers, pipeline, err)
+				t.Fatalf("T=%d engine=%s: %v", workers, engine, err)
 			}
 			if got := sha(canonMerges(res)); got != goldenClusterSHA {
-				t.Fatalf("T=%d pipeline=%v: hash %s, golden %s", workers, pipeline, got, goldenClusterSHA)
+				t.Fatalf("T=%d engine=%s: hash %s, golden %s", workers, engine, got, goldenClusterSHA)
 			}
 		}
 	}
@@ -68,8 +68,8 @@ func TestFaultWorkerPanic(t *testing.T) {
 			_, err := SweepParallelCtx(context.Background(), g, clonePairs(pl), 4, nil)
 			return err
 		}},
-		{"sweep-pipelined", 2, func() error {
-			_, err := SweepPipelinedCtx(context.Background(), g, Similarity(g), 4, nil)
+		{"sweep-spill", 2, func() error {
+			_, err := SweepSpilledCtx(context.Background(), g, clonePairs(pl), 4, "", nil)
 			return err
 		}},
 		{"coarse", 2, func() error {
@@ -104,7 +104,7 @@ func clonePairs(pl *PairList) *PairList {
 	return &PairList{Pairs: append([]Pair(nil), pl.Pairs...)}
 }
 
-// TestFaultSlowProducer arms the pipelined sweep's bucket-sort point with a
+// TestFaultSlowProducer arms the spilled sweep's bucket-read point with a
 // stall: slow must not mean wrong — the merge stream stays golden because
 // every scheduling decision is op-count-, not timing-, based.
 func TestFaultSlowProducer(t *testing.T) {
@@ -117,7 +117,7 @@ func TestFaultSlowProducer(t *testing.T) {
 		// suite: the consumer's stall counters absorb it, the output may not.
 		runtime.Gosched()
 	})
-	res, err := SweepPipelinedCtx(context.Background(), g, Similarity(g), 4, nil)
+	res, err := ClusterCtx(context.Background(), g, ClusterOptions{Workers: 4, Engine: EngineSpill})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,8 +146,8 @@ func TestFaultCancelWindow(t *testing.T) {
 			_, err := SweepParallelCtx(ctx, g, Similarity(g), workers, nil)
 			return err
 		}},
-		{"pipelined", func(ctx context.Context, workers int) error {
-			_, err := SweepPipelinedCtx(ctx, g, Similarity(g), workers, nil)
+		{"spill", func(ctx context.Context, workers int) error {
+			_, err := SweepSpilledCtx(ctx, g, Similarity(g), workers, "", nil)
 			return err
 		}},
 		{"coarse", func(ctx context.Context, workers int) error {
@@ -298,12 +298,13 @@ func streamArrivals(g *Graph) []Arrival {
 // be golden.
 func TestFaultMatrix(t *testing.T) {
 	g := goldenGraph(t)
-	// MemBreach fires only when a budget is set; CancelWindow/SlowProducer/
-	// WorkerPanic all fire on the pipelined parallel path; the stream points
-	// fire on the incremental path (a whole-graph ingest hits the ingest
-	// point at the batch head, and the first snapshot — no checkpoints yet,
-	// so the replay fraction is 1 — takes the compaction fallback); the
-	// spill points fire on the out-of-core sweep.
+	// MemBreach fires only when a budget is set; CancelWindow and
+	// WorkerPanic fire on the default parallel path, and SlowProducer on the
+	// spilled one, whose bucket read-back is the only producer; the stream
+	// points fire on the incremental path (a whole-graph ingest hits the
+	// ingest point at the batch head, and the first snapshot — no
+	// checkpoints yet, so the replay fraction is 1 — takes the compaction
+	// fallback); the spill points fire on the out-of-core sweep.
 	for _, p := range fault.Points() {
 		t.Run(p.String(), func(t *testing.T) {
 			resetFaults(t)
@@ -351,7 +352,10 @@ func TestFaultMatrix(t *testing.T) {
 				}
 				res, err = eng.Snapshot()
 			default:
-				opts := ClusterOptions{Workers: 4, Pipeline: true}
+				opts := ClusterOptions{Workers: 4}
+				if p == fault.SlowProducer {
+					opts.Engine = EngineSpill
+				}
 				if p == fault.MemBreach {
 					opts.MemBudgetBytes = 1 << 50
 				}

@@ -20,7 +20,10 @@ import (
 // the failure message — any other trigger is a regression in determinism.
 const (
 	goldenClusterSHA  = "acd8ee08ada0f030f60c9c94cac36a65c66d1d94744f3e18fadb6a8020d86e8c"
-	goldenCountersSHA = "0ef6f2a87e426ea7ece48812bcf5208c0b4353a729a1354ddcfea508a7c104fe"
+	goldenCountersSHA = "ea5c09f1697f1e130c89d35e4ff36c958755534f17c2c1d64730d2ba08b375fc"
+	// goldenSpillBuckets pins the spilled sweep's bucket policy on the
+	// golden graph: the number of non-empty similarity buckets it writes.
+	goldenSpillBuckets = 291
 	// goldenStreamCountersSHA pins the stream.* counters of the canonical
 	// golden-graph replay (batches of 512, a snapshot every fourth batch):
 	// like the engine counters above they are pure functions of the arrival
@@ -77,7 +80,6 @@ var goldenInvariantCounters = []string{
 	core.CtrSweepNoopDrops,
 	core.CtrSweepSerialDrains,
 	core.CtrSweepFlattens,
-	core.CtrPipelineBuckets,
 }
 
 // canonCounters serializes the worker-invariant counters of a run report in
@@ -92,10 +94,9 @@ func canonCounters(rep *RunReport) string {
 	return b.String()
 }
 
-// TestGoldenClusterOutput runs the fixed corpus through every fine-grained
-// engine — serial, parallel reservation, and pipelined, the latter two at
-// worker counts 1..8 — and requires every run to hash to the checked-in
-// golden value.
+// TestGoldenClusterOutput runs the fixed corpus through the serial reference
+// and the windowed engine at worker counts 1..8, and requires every run to
+// hash to the checked-in golden value.
 func TestGoldenClusterOutput(t *testing.T) {
 	g := goldenGraph(t)
 	serial, err := Cluster(g)
@@ -113,13 +114,6 @@ func TestGoldenClusterOutput(t *testing.T) {
 		if got := sha(canonMerges(par)); got != goldenClusterSHA {
 			t.Fatalf("ClusterParallel T=%d hash %s, golden %s", workers, got, goldenClusterSHA)
 		}
-		pip, err := ClusterPipelined(g, workers)
-		if err != nil {
-			t.Fatalf("pipelined T=%d: %v", workers, err)
-		}
-		if got := sha(canonMerges(pip)); got != goldenClusterSHA {
-			t.Fatalf("ClusterPipelined T=%d hash %s, golden %s", workers, got, goldenClusterSHA)
-		}
 	}
 	// The out-of-core sweep routes the same pair list through disk; the
 	// golden pin extends to it unchanged at representative worker counts.
@@ -134,16 +128,17 @@ func TestGoldenClusterOutput(t *testing.T) {
 	}
 }
 
-// TestGoldenCounters runs the instrumented pipelined engine at several worker
+// TestGoldenCounters runs the default ClusterCtx path at several worker
 // counts and requires the worker-invariant counter set to hash to the
 // checked-in golden value every time — scheduling counters (windows, rounds,
-// deferrals, buckets) included, since the engine derives them from op counts,
-// not threads.
+// deferrals) included, since the engine derives them from op counts, not
+// threads. It also pins the spilled sweep's bucket count, which depends
+// only on the pair list.
 func TestGoldenCounters(t *testing.T) {
 	g := goldenGraph(t)
 	for _, workers := range []int{1, 2, 4, 8} {
 		rec := NewRecorder()
-		if _, err := core.ClusterPipelinedRecorded(g, workers, rec); err != nil {
+		if _, err := ClusterCtx(context.Background(), g, ClusterOptions{Workers: workers, Recorder: rec}); err != nil {
 			t.Fatalf("T=%d: %v", workers, err)
 		}
 		if got := sha(canonCounters(rec.Report())); got != goldenCountersSHA {
@@ -151,47 +146,42 @@ func TestGoldenCounters(t *testing.T) {
 				workers, got, goldenCountersSHA, canonCounters(rec.Report()))
 		}
 	}
-	// The non-pipelined parallel engine shares every engine counter and adds
-	// no bucket, so its invariant set must match after accounting for the
-	// pipeline-only counter.
-	rec := NewRecorder()
-	if _, err := ClusterInstrumented(g, ClusterOptions{Workers: 4, Recorder: rec}); err != nil {
-		t.Fatal(err)
-	}
-	pipRec := NewRecorder()
-	if _, err := core.ClusterPipelinedRecorded(g, 4, pipRec); err != nil {
-		t.Fatal(err)
-	}
-	a, b := rec.Report().Counters, pipRec.Report().Counters
-	for _, n := range goldenInvariantCounters {
-		if n == core.CtrPipelineBuckets {
-			continue
+	for _, workers := range []int{1, 4} {
+		rec := NewRecorder()
+		if _, err := ClusterCtx(context.Background(), g,
+			ClusterOptions{Workers: workers, Engine: EngineSpill, Recorder: rec}); err != nil {
+			t.Fatalf("spill T=%d: %v", workers, err)
 		}
-		if a[n] != b[n] {
-			t.Errorf("counter %s: parallel %d vs pipelined %d", n, a[n], b[n])
+		if got := rec.Counter(CtrSpillBuckets); got != goldenSpillBuckets {
+			t.Fatalf("spill T=%d: %s = %d, golden %d", workers, CtrSpillBuckets, got, goldenSpillBuckets)
 		}
 	}
 }
 
-// TestGoldenEngineAndRelabel extends the golden pin to the explicit engine
-// selector and the degree-ordered relabeled initialization: every
-// ClusterOptions.Engine value (auto included), with and without Relabel, at
-// several worker counts, must hash to the same golden value as the serial
-// pipeline — engine choice and vertex order affect speed only, never output.
-func TestGoldenEngineAndRelabel(t *testing.T) {
+// TestGoldenEngines extends the golden pin to the engine selector: every
+// accepted ClusterOptions.Engine name — auto, the empty default, the legacy
+// pipelined and serial names included — at several worker counts must hash
+// to the serial pipeline's golden value and record the engine that actually
+// ran (parallel, or spill) as the report's sweep_engine.
+func TestGoldenEngines(t *testing.T) {
 	g := goldenGraph(t)
-	for _, engine := range []string{EngineAuto, EngineSerial, EngineParallel, EnginePipelined, EngineSpill} {
-		for _, relabel := range []bool{false, true} {
-			for _, workers := range []int{1, 4, 8} {
-				res, err := ClusterCtx(context.Background(), g,
-					ClusterOptions{Workers: workers, Engine: engine, Relabel: relabel})
-				if err != nil {
-					t.Fatalf("engine=%s relabel=%v T=%d: %v", engine, relabel, workers, err)
-				}
-				if got := sha(canonMerges(res)); got != goldenClusterSHA {
-					t.Fatalf("engine=%s relabel=%v T=%d hash %s, golden %s",
-						engine, relabel, workers, got, goldenClusterSHA)
-				}
+	for _, engine := range []string{"", EngineAuto, EngineSerial, EngineParallel, EnginePipelined, EngineSpill} {
+		want := EngineParallel
+		if engine == EngineSpill {
+			want = EngineSpill
+		}
+		for _, workers := range []int{1, 4, 8} {
+			rec := NewRecorder()
+			res, err := ClusterCtx(context.Background(), g,
+				ClusterOptions{Workers: workers, Engine: engine, Recorder: rec})
+			if err != nil {
+				t.Fatalf("engine=%q T=%d: %v", engine, workers, err)
+			}
+			if got := sha(canonMerges(res)); got != goldenClusterSHA {
+				t.Fatalf("engine=%q T=%d hash %s, golden %s", engine, workers, got, goldenClusterSHA)
+			}
+			if got := rec.Report().Meta["sweep_engine"]; got != want {
+				t.Fatalf("engine=%q T=%d: sweep_engine %q, want %q", engine, workers, got, want)
 			}
 		}
 	}
@@ -276,31 +266,6 @@ func TestGoldenStreamCounters(t *testing.T) {
 		if got := sha(canon); got != goldenStreamCountersSHA {
 			t.Fatalf("T=%d stream counters hash %s, golden %s\ncounters:\n%s",
 				workers, got, goldenStreamCountersSHA, canon)
-		}
-	}
-}
-
-// TestGoldenCountersRelabeled checks that a relabeled run reports the same
-// worker-invariant counter set as a plain run of the same engine: relabeling
-// changes the traversal order inside the init phase, not what it computes.
-func TestGoldenCountersRelabeled(t *testing.T) {
-	g := goldenGraph(t)
-	plain := NewRecorder()
-	if _, err := ClusterInstrumented(g, ClusterOptions{Workers: 4, Recorder: plain}); err != nil {
-		t.Fatal(err)
-	}
-	rel := NewRecorder()
-	if _, err := ClusterCtx(context.Background(), g,
-		ClusterOptions{Workers: 4, Engine: EngineParallel, Relabel: true, Recorder: rel}); err != nil {
-		t.Fatal(err)
-	}
-	a, b := plain.Report().Counters, rel.Report().Counters
-	for _, n := range goldenInvariantCounters {
-		if n == core.CtrPipelineBuckets {
-			continue
-		}
-		if a[n] != b[n] {
-			t.Errorf("counter %s: plain %d vs relabeled %d", n, a[n], b[n])
 		}
 	}
 }

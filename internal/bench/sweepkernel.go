@@ -32,9 +32,9 @@ type sweepKernelResult struct {
 	Threads   []sweepKernelThread `json:"threads"`
 	SpeedupT8 float64             `json:"speedup_t8"`
 
-	// Engine is what ClusterOptions.Engine "auto" selects for this row at
-	// T=8 (core.ChooseSweepEngine: the windowed engine at every worker
-	// count); AutoNs/AutoSpeedup are its T=8 measurement.
+	// Engine is what ClusterOptions.Engine "auto" resolves to at T=8
+	// (core.ResolveSweepEngine: the windowed engine at every worker count);
+	// AutoNs/AutoSpeedup are its T=8 measurement.
 	Engine      string  `json:"engine"`
 	AutoNs      int64   `json:"auto_ns"`
 	AutoSpeedup float64 `json:"auto_speedup"`
@@ -144,7 +144,7 @@ func SweepKernel(w io.Writer, cfg Config) error {
 			row = append(row, formatSeconds(parNs))
 		}
 		end()
-		res.Engine = core.ChooseSweepEngine(8, false)
+		res.Engine, _, _ = core.ResolveSweepEngine(core.SweepEngineAuto, 8)
 		if res.AutoNs > 0 {
 			res.AutoSpeedup = float64(serialNs) / float64(res.AutoNs)
 		}

@@ -101,11 +101,6 @@ func FuzzSweep(f *testing.F) {
 				t.Fatalf("T=%d: %v", workers, err)
 			}
 			requireIdenticalSweep(t, "fuzz parallel vs serial", par, serial)
-			pip, err := SweepPipelined(g, Similarity(g), workers)
-			if err != nil {
-				t.Fatalf("pipelined T=%d: %v", workers, err)
-			}
-			requireIdenticalSweep(t, "fuzz pipelined vs serial", pip, serial)
 		}
 	})
 }
@@ -237,31 +232,6 @@ func FuzzSpillRoundTrip(f *testing.F) {
 			if derr == nil {
 				t.Fatal("mutated spill file opened and decoded cleanly")
 			}
-		}
-	})
-}
-
-// FuzzSimilarityKernels drives the newer kernel variants over arbitrary small
-// graphs: the cache-blocked wedge kernel (forced onto every row with tiny
-// tiles) and the degree-ordered relabeled kernel must both reproduce the
-// plain wedge kernel's pair list bitwise in its pre-Sort master order.
-func FuzzSimilarityKernels(f *testing.F) {
-	f.Add([]byte{4, 0, 1, 1, 1, 2, 1, 2, 3, 1, 0, 2, 1})
-	f.Add([]byte{16, 0, 1, 0, 1, 2, 0, 2, 0, 0})
-	f.Add([]byte{2, 0, 1, 7})
-	f.Add([]byte{24, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		g := fuzzGraph(data)
-		if g == nil {
-			return
-		}
-		plain := Similarity(g)
-		restore := forceBlockedKernel()
-		blocked := Similarity(g)
-		restore()
-		requireIdenticalPreSort(t, "fuzz forced-blocked vs plain", blocked, plain)
-		for _, workers := range []int{1, 3, 8} {
-			requireIdenticalPreSort(t, "fuzz relabeled vs plain", SimilarityRelabeled(g, workers), plain)
 		}
 	})
 }

@@ -49,20 +49,6 @@ type rowAccum struct {
 	touched []int32   // candidate v's touched this row, first-touch order
 	ks      []int32   // wedge centers k, in enumeration (ascending-k) order
 	vs      []int32   // wedge far endpoints v, parallel to ks
-
-	// Blocked-kernel scratch (see similarity_blocked.go): cached neighbor
-	// slices and per-neighbor suffix cursors of the current row.
-	nbs [][]graph.Half
-	cur []int32
-
-	// Relabeled-kernel scratch (see relabel.go): the per-wedge product log
-	// parallel to ks/vs, the per-row product scatter region, and the
-	// region-sort buffers.
-	ps   []float64
-	pr   []float64
-	idx  []int32
-	kTmp []int32
-	pTmp []float64
 }
 
 func newRowAccum(n int) *rowAccum {
@@ -263,7 +249,7 @@ func similarityWedgeCtx(ctx context.Context, g *graph.Graph, rec *obs.Recorder) 
 				return nil, err
 			}
 		}
-		w := ra.enumerateRowDispatch(g, u)
+		w := ra.enumerateRow(g, u)
 		if w > 0 {
 			rows++
 			commons := arena.alloc(w)
@@ -418,7 +404,7 @@ func similarityWedgeParallelCtx(ctx context.Context, g *graph.Graph, workers int
 				hi = n
 			}
 			for u := lo; u < hi; u++ {
-				w := ra.enumerateRowDispatch(g, u)
+				w := ra.enumerateRow(g, u)
 				if int64(w) != rowWedges[u] || len(ra.touched) != int(rowPairs[u]) {
 					panic(fmt.Sprintf("core: wedge fill pass disagrees with count pass at row %d (%d/%d wedges, %d/%d pairs)",
 						u, w, rowWedges[u], len(ra.touched), rowPairs[u]))

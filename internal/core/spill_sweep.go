@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 
+	"linkclust/internal/fault"
 	"linkclust/internal/graph"
 	"linkclust/internal/obs"
 	"linkclust/internal/par"
@@ -14,9 +16,8 @@ import (
 // Counter names recorded by the out-of-core (spilled) sweep.
 const (
 	// CtrSpillBuckets counts the non-empty similarity buckets written to
-	// disk. The bucket policy (width by list size) is shared with the
-	// in-memory pipelined sweep, so this always equals CtrPipelineBuckets
-	// for the same pair list — and like it, is worker-invariant.
+	// disk. The bucket width depends only on the pair list's length, so the
+	// count is a pure function of the pair list and worker-invariant.
 	CtrSpillBuckets = "spill.buckets"
 	// CtrSpillBytesWritten is the bytes the spill store wrote (encoded pair
 	// payloads plus per-bucket headers). A pure function of the pair list,
@@ -34,6 +35,97 @@ const (
 // plus one in-flight block per writer.
 const spillScatterPollPairs = 2048
 
+// Similarity bucket policy of the spilled sweep.
+const (
+	// bucketAhead bounds the frontier channel: the read-back producer may
+	// run at most this many buckets ahead of the engine before blocking.
+	bucketAhead = 8
+	// bucketSmallPairs selects the reduced bucket-bit width: lists below
+	// this size use bucketSmallBits so the histogram never dwarfs the
+	// input. The threshold depends only on list length, keeping bucket
+	// boundaries (and the bucket counter) worker-invariant.
+	bucketSmallPairs = 1 << 13
+	// bucketBits is the MSD radix width of the similarity partition — sign,
+	// the full 11-bit exponent, and 4 mantissa bits, so each binade of
+	// similarities splits into 16 buckets.
+	bucketBits = 16
+	// bucketSmallBits is the width used below bucketSmallPairs.
+	bucketSmallBits = 8
+)
+
+// simBucket maps a similarity to its MSD radix bucket: the top bits of the
+// descending monotonic key of its float64 representation. The key transform
+// (flip all bits of negatives, set the sign bit of non-negatives, then
+// complement for descending order) makes bucket ids ascend as similarity
+// descends, and equal similarities always share a bucket — so emitting
+// buckets in ascending id order, each fully sorted by cmpPairs, concatenates
+// to exactly the list-L order of PairList.Sort.
+func simBucket(sim float64, shift uint) int {
+	b := math.Float64bits(sim)
+	if b == 1<<63 {
+		// -0 compares equal to +0 in cmpPairs, so it must share +0's bucket
+		// or an equal-similarity tie could straddle a bucket boundary and
+		// break the concatenated (U,V) tie order.
+		b = 0
+	}
+	if int64(b) < 0 {
+		b = ^b
+	} else {
+		b |= 1 << 63
+	}
+	return int(^b >> shift)
+}
+
+// pairPartition is the MSD radix partition of a pair list by similarity:
+// offs[b]:offs[b+1] is bucket b's extent in the fully sorted list, buckets
+// holds the non-empty bucket ids in ascending order, and shift is the
+// simBucket shift of the list's bucket width.
+type pairPartition struct {
+	offs    []int
+	buckets []int
+	shift   uint
+}
+
+// partitionPairs histograms pairs into similarity buckets with per-worker
+// counts over contiguous chunks. The bucket width depends only on the list
+// length, so the partition is worker-invariant.
+func partitionPairs(pairs []Pair, workers int) pairPartition {
+	n := len(pairs)
+	bits := bucketBits
+	if n < bucketSmallPairs {
+		bits = bucketSmallBits
+	}
+	nb := 1 << bits
+	p := pairPartition{offs: make([]int, nb+1), shift: uint(64 - bits)}
+	w := max(min(workers, n), 1)
+	counts := make([]int, w*nb)
+	par.Do(n, w, func(t, lo, hi int) {
+		row := counts[t*nb : (t+1)*nb]
+		for i := lo; i < hi; i++ {
+			row[simBucket(pairs[i].Sim, p.shift)]++
+		}
+	})
+	pos := 0
+	for b := 0; b < nb; b++ {
+		p.offs[b] = pos
+		for t := 0; t < w; t++ {
+			pos += counts[t*nb+b]
+		}
+		if pos > p.offs[b] {
+			p.buckets = append(p.buckets, b)
+		}
+	}
+	p.offs[nb] = pos
+	return p
+}
+
+// bucketSorters returns the read-back producer's worker budget: roughly half
+// the worker count, leaving the rest for the engine's resolve/find/apply
+// fan-outs that run concurrently with bucket decoding and sorting.
+func bucketSorters(workers int) int {
+	return max(workers/2, 1)
+}
+
 // SpillOptions configures the out-of-core sweep's disk store.
 type SpillOptions struct {
 	// Dir is the parent directory for the run's private spill directory
@@ -42,14 +134,14 @@ type SpillOptions struct {
 }
 
 // SweepSpilled runs Algorithm 2 out of core: the pair list is MSD-radix
-// partitioned — with exactly the pipelined sweep's bucket policy — into
-// per-bucket spill files instead of an in-memory scratch, the in-memory
-// list is released, and a producer pool streams the buckets back from disk
-// (each sorted on arrival) into the same streaming engine the pipelined
-// sweep drives. The pair list therefore never needs to be resident twice,
-// and during the merge phase only the engine's window plus a bounded bucket
+// partitioned on the float bits of its similarities into per-bucket spill
+// files, the in-memory list is released, and a producer pool streams the
+// buckets back from disk (each sorted on arrival) into the windowed engine
+// of SweepParallel, which consumes the list as a sequence of sorted-prefix
+// frontiers. The pair list therefore never needs to be resident twice, and
+// during the merge phase only the engine's window plus a bounded bucket
 // read-ahead is in memory; the merge stream stays bitwise identical to
-// Sweep, SweepParallel, and SweepPipelined at any worker count.
+// Sweep and SweepParallel at any worker count.
 //
 // SweepSpilled CONSUMES the pair list: on success and on any read-phase
 // failure pl.Pairs is nil (the memory was released to disk). Only a
@@ -99,45 +191,12 @@ func SweepSpilledOpts(ctx context.Context, g *graph.Graph, pl *PairList, workers
 		return e.res, nil
 	}
 
-	// Phase A — histogram + scatter to disk. The bucket policy (bit width by
-	// list size, the simBucket key transform) is exactly partitionPairs', so
-	// bucket ids, per-bucket extents, and the non-empty bucket count match
-	// the in-memory pipelined sweep bucket for bucket.
+	// Phase A — histogram + scatter to disk. The partition's bucket
+	// extents are the buckets' final positions in the sorted list.
 	endWrite := rec.Phase("spill-write")
 	pairs := pl.Pairs
-	bits := pipelineBits
-	if n < pipelineSmallPairs {
-		bits = pipelineSmallBits
-	}
-	nb := 1 << bits
-	shift := uint(64 - bits)
-	w := workers
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	counts := make([]int, w*nb)
-	par.Do(n, w, func(t, lo, hi int) {
-		row := counts[t*nb : (t+1)*nb]
-		for i := lo; i < hi; i++ {
-			row[simBucket(pairs[i].Sim, shift)]++
-		}
-	})
-	offs := make([]int, nb+1)
-	pos := 0
-	var bucketIDs []int
-	for b := 0; b < nb; b++ {
-		offs[b] = pos
-		for t := 0; t < w; t++ {
-			pos += counts[t*nb+b]
-		}
-		if pos > offs[b] {
-			bucketIDs = append(bucketIDs, b)
-		}
-	}
-	offs[nb] = pos
+	part := partitionPairs(pairs, workers)
+	offs, bucketIDs, shift := part.offs, part.buckets, part.shift
 
 	store, err := spill.NewStore(bucketIDs, spill.Options{Dir: opt.Dir})
 	if err != nil {
@@ -146,7 +205,7 @@ func SweepSpilledOpts(ctx context.Context, g *graph.Graph, pl *PairList, workers
 	}
 	defer store.Remove()
 
-	par.Do(n, w, func(t, lo, hi int) {
+	par.Do(n, min(workers, n), func(t, lo, hi int) {
 		var buf []byte
 		for i := lo; i < hi; i++ {
 			if (i-lo)%spillScatterPollPairs == 0 && ctx.Err() != nil {
@@ -177,9 +236,10 @@ func SweepSpilledOpts(ctx context.Context, g *graph.Graph, pl *PairList, workers
 	pl.Invalidate()
 	pairs = nil
 
-	// Phase C — stream the buckets back through the engine, mirroring
-	// SweepPipelinedCtx's producer/consumer structure. buf holds the pair
-	// headers only (the dominant commons payload stays on disk until its
+	// Phase C — stream the buckets back through the engine: a producer
+	// pool decodes and sorts buckets, publishing each bucket's end as a
+	// frontier in bucket order, and the engine consumes the sorted prefix
+	// below every frontier. buf holds the pair headers only (the dominant commons payload stays on disk until its
 	// bucket is decoded, and is dropped again once the engine's window
 	// cursor passes it).
 	buf := make([]Pair, n)
@@ -195,11 +255,12 @@ func SweepSpilledOpts(ctx context.Context, g *graph.Graph, pl *PairList, workers
 	slotPairs := make([][]Pair, len(bucketIDs))
 	slotErr := make([]error, len(bucketIDs))
 	var readErr error
-	frontiers := make(chan int, pipelineBucketAhead)
+	frontiers := make(chan int, bucketAhead)
 	prodDone := make(chan error, 1)
 	go func() {
 		defer close(frontiers)
-		prodDone <- par.OrderedCtx(prodCtx, len(bucketIDs), pipelineSorters(workers), func(i int) {
+		prodDone <- par.OrderedCtx(prodCtx, len(bucketIDs), bucketSorters(workers), func(i int) {
+			fault.Hit(fault.SlowProducer)
 			b := bucketIDs[i]
 			bk, err := store.OpenBucket(b)
 			if err != nil {
@@ -241,8 +302,10 @@ func SweepSpilledOpts(ctx context.Context, g *graph.Graph, pl *PairList, workers
 		})
 	}()
 
-	// Join the producer before unwinding on a consumer panic, exactly as the
-	// pipelined sweep does: release it, drain to the channel close, wait.
+	// If the consumer panics mid-stream (engine pool panic), join the
+	// producer before unwinding: release it, drain the channel to its close,
+	// and wait for its pool — otherwise its bucket copies could race with
+	// whatever the caller does after recovering the error.
 	prodJoined := false
 	defer func() {
 		if !prodJoined {

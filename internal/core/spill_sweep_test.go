@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"testing"
 
@@ -41,6 +42,66 @@ func requireEmptySpillParent(t *testing.T, dir string) {
 	}
 	if len(entries) != 0 {
 		t.Fatalf("spill parent not cleaned: %d entries left, first %q", len(entries), entries[0].Name())
+	}
+}
+
+// TestSimBucketOrder pins the radix key's two load-bearing properties:
+// bucket ids are non-decreasing as similarity decreases, and equal
+// similarities share a bucket — together these make the concatenation of
+// per-bucket-sorted runs equal the global sort.
+func TestSimBucketOrder(t *testing.T) {
+	sims := []float64{
+		2.5, 1.0, 0.999999, 0.75, 0.5, 0.5, 0.25, 0.1, 1e-3, 1e-9, 5e-300,
+		0.0, math.Copysign(0, -1), -1e-9, -0.5, -1, -3,
+	}
+	const shift = 64 - bucketBits
+	for i := 1; i < len(sims); i++ {
+		hi, lo := sims[i-1], sims[i]
+		bh, bl := simBucket(hi, shift), simBucket(lo, shift)
+		if hi > lo && bh > bl {
+			t.Errorf("simBucket(%v) = %d > simBucket(%v) = %d; buckets must ascend as similarity descends", hi, bh, lo, bl)
+		}
+		if hi == lo && bh != bl {
+			t.Errorf("equal similarities %v landed in buckets %d and %d", hi, bh, bl)
+		}
+	}
+	// ±0 compare equal as floats and must share a bucket, or a tie could be
+	// split across a bucket boundary and break the concatenation order.
+	if simBucket(0, shift) != simBucket(math.Copysign(0, -1), shift) {
+		t.Errorf("+0 and -0 landed in different buckets (%d vs %d)",
+			simBucket(0, shift), simBucket(math.Copysign(0, -1), shift))
+	}
+}
+
+// TestPartitionPairsIsSortPrefix checks the partition against the sort the
+// spilled sweep relies on: at every worker count, the bucket extents must
+// cover the list exactly, and every pair of the fully sorted list must sit
+// inside the extent of its own bucket — so bucket offsets are the buckets'
+// positions in list L, and concatenating per-bucket-sorted runs in bucket
+// order reproduces PairList.Sort.
+func TestPartitionPairsIsSortPrefix(t *testing.T) {
+	g := graph.ErdosRenyi(150, 0.08, rng.New(11))
+	want := Similarity(g)
+	want.Sort()
+	for _, workers := range []int{1, 2, 8} {
+		part := partitionPairs(Similarity(g).Pairs, workers)
+		if got := part.offs[len(part.offs)-1]; got != len(want.Pairs) {
+			t.Fatalf("workers=%d: partition covers %d pairs, want %d", workers, got, len(want.Pairs))
+		}
+		covered := 0
+		for _, b := range part.buckets {
+			lo, hi := part.offs[b], part.offs[b+1]
+			covered += hi - lo
+			for i := lo; i < hi; i++ {
+				if got := simBucket(want.Pairs[i].Sim, part.shift); got != b {
+					t.Fatalf("workers=%d: sorted pair %d (sim %v) is in bucket %d, but the extent [%d,%d) belongs to bucket %d",
+						workers, i, want.Pairs[i].Sim, got, lo, hi, b)
+				}
+			}
+		}
+		if covered != len(want.Pairs) {
+			t.Fatalf("workers=%d: non-empty buckets carry %d pairs, want %d", workers, covered, len(want.Pairs))
+		}
 	}
 }
 
@@ -134,15 +195,10 @@ func TestSweepSpilledErrorParity(t *testing.T) {
 
 // TestSweepSpilledCounters checks the spilled path's instrumentation: the
 // bucket and bytes counters must be positive and worker-invariant, and the
-// bucket count must equal the in-memory pipelined sweep's — the two share
-// one bucket policy.
+// bucket count must equal the partition's non-empty bucket count.
 func TestSweepSpilledCounters(t *testing.T) {
 	g := graph.ErdosRenyi(200, 0.08, rng.New(4))
-	pipRec := obs.New()
-	if _, err := SweepPipelinedRecorded(g, Similarity(g), 4, pipRec); err != nil {
-		t.Fatal(err)
-	}
-	pipBuckets := pipRec.Counter(CtrPipelineBuckets)
+	wantBuckets := int64(len(partitionPairs(Similarity(g).Pairs, 1).buckets))
 	var buckets, bytes int64 = -1, -1
 	for _, workers := range []int{1, 4, 8} {
 		rec := obs.New()
@@ -157,8 +213,8 @@ func TestSweepSpilledCounters(t *testing.T) {
 		if b < 1 || by < 1 {
 			t.Fatalf("T=%d: buckets=%d bytes=%d, want both positive", workers, b, by)
 		}
-		if b != pipBuckets {
-			t.Fatalf("T=%d: %d spill buckets, pipelined reports %d — bucket policies diverged", workers, b, pipBuckets)
+		if b != wantBuckets {
+			t.Fatalf("T=%d: %d spill buckets, the partition has %d", workers, b, wantBuckets)
 		}
 		if buckets >= 0 && (b != buckets || by != bytes) {
 			t.Fatalf("T=%d: buckets/bytes %d/%d, want worker-invariant %d/%d", workers, b, by, buckets, bytes)

@@ -75,9 +75,9 @@ func TestSweepCASEngaged(t *testing.T) {
 	}
 }
 
-// TestSweepCASPipelined checks that the pipelined engine — which shares the
-// window scheduler — also routes through the CAS pass at multi-worker counts
-// and stays bitwise identical to serial.
+// TestSweepCASPipelined checks that the legacy pipelined engine name routes
+// through the CAS pass at multi-worker counts and stays bitwise identical to
+// serial.
 func TestSweepCASPipelined(t *testing.T) {
 	g := graph.ErdosRenyi(400, 0.05, rng.New(2))
 	serial, err := Sweep(g, Similarity(g))
@@ -86,7 +86,7 @@ func TestSweepCASPipelined(t *testing.T) {
 	}
 	for _, workers := range []int{2, 8} {
 		rec := obs.New()
-		pip, err := SweepPipelinedRecorded(g, Similarity(g), workers, rec)
+		pip, err := sweepNamed(t, SweepEnginePipelined, g, Similarity(g), workers, rec)
 		if err != nil {
 			t.Fatalf("T=%d: %v", workers, err)
 		}

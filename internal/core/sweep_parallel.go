@@ -135,6 +135,25 @@ func SweepParallelCtx(ctx context.Context, g *graph.Graph, pl *PairList, workers
 	return res, nil
 }
 
+// recordSweepEngine records the counters shared by every engine-backed
+// sweep: the serial sweep's op/rewrite/merge counters plus the engine's
+// scheduling counters.
+func recordSweepEngine(rec *obs.Recorder, e *sweepEngine) {
+	if rec == nil {
+		return
+	}
+	rec.Add(CtrSweepPairsProcessed, e.res.PairsProcessed)
+	rec.Add(CtrSweepChainRewrites, e.res.Chain.Changes())
+	rec.Add(CtrSweepMerges, int64(len(e.res.Merges)))
+	rec.Add(CtrSweepWindows, e.windows)
+	rec.Add(CtrSweepRounds, e.rounds)
+	rec.Add(CtrSweepDeferrals, e.deferrals)
+	rec.Add(CtrSweepNoopDrops, e.drops)
+	rec.Add(CtrSweepSerialDrains, e.drains)
+	rec.Add(CtrSweepFlattens, e.flattens)
+	rec.Add(CtrSweepCASRounds, e.casRounds)
+}
+
 // sortWorkers is the sort's worker count for a sweep at the given normalized
 // worker count: a one-worker sweep still sorts with par.DefaultCap, as the
 // one-worker production path always has, so moving that path onto the engine
@@ -200,9 +219,9 @@ type sweepEngine struct {
 
 	// Streaming window cursor: pairs [wp, wq) are accumulated into the
 	// window under construction, carrying wops incident operations. The
-	// monolithic run and the pipelined consumer share this state, so window
-	// boundaries — a greedy, purely op-count-based function of the sorted
-	// pair order — are identical whether the list arrives whole or in
+	// monolithic run and the spilled sweep's consumer share this state, so
+	// window boundaries — a greedy, purely op-count-based function of the
+	// sorted pair order — are identical whether the list arrives whole or in
 	// sorted-bucket increments.
 	wp, wq int
 	wops   int
@@ -273,8 +292,9 @@ func (e *sweepEngine) init() {
 // exactly the merge stream) of a single whole-list call.
 //
 // Pairs below the frontier must be in their final sorted positions and must
-// not change afterwards; the pipelined producer guarantees this by emitting
-// a frontier only after the bucket below it is sorted and copied in place.
+// not change afterwards; the spilled sweep's producer guarantees this by
+// emitting a frontier only after the bucket below it is sorted and copied in
+// place.
 func (e *sweepEngine) consume(frontier int, final bool) error {
 	pairs := e.pl.Pairs
 	for {

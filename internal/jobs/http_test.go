@@ -3,6 +3,7 @@ package jobs
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"linkclust"
+	"linkclust/internal/core"
 )
 
 func startServer(t *testing.T, cfg Config) (*Manager, *httptest.Server) {
@@ -234,5 +236,71 @@ func TestHTTPQueueBackpressure(t *testing.T) {
 	}
 	for _, id := range ids {
 		pollDone(t, srv, id)
+	}
+}
+
+// TestHTTPLegacyPipelinedOptions posts a job in the shape older clients
+// send: the legacy "pipelined" engine name plus the retired "pipeline"
+// field. The daemon must accept it, run the windowed engine (the report
+// records sweep_engine "parallel"), and serve merges bitwise equal to the
+// reference loop's.
+func TestHTTPLegacyPipelinedOptions(t *testing.T) {
+	_, srv := startServer(t, Config{Concurrency: 1})
+	text := graphText(t, 60, 37)
+	g, err := linkclust.ReadGraph(bytes.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := linkclust.Sweep(g, linkclust.Similarity(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := core.WriteMerges(&want, g.NumEdges(), ref.Merges); err != nil {
+		t.Fatal(err)
+	}
+
+	body, err := json.Marshal(map[string]any{
+		"graph":   string(text),
+		"options": json.RawMessage(`{"workers":2,"engine":"pipelined","pipeline":true}`),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+"/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st Status
+	if resp.StatusCode != http.StatusAccepted {
+		resp.Body.Close()
+		t.Fatalf("legacy submit = %d, want 202", resp.StatusCode)
+	}
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st = pollDone(t, srv, st.ID); st.State != StateDone {
+		t.Fatalf("legacy job %s (%s)", st.State, st.Error)
+	}
+	var rep linkclust.RunReport
+	if code := getJSON(t, srv.URL+"/runreport/"+st.ID, &rep); code != http.StatusOK {
+		t.Fatalf("GET runreport = %d", code)
+	}
+	if e := rep.Meta["sweep_engine"]; e != linkclust.EngineParallel {
+		t.Fatalf("sweep_engine = %q, want %q", e, linkclust.EngineParallel)
+	}
+	resp, err = http.Get(srv.URL + "/jobs/" + st.ID + "/merges")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatal("legacy pipelined job's merges differ from the reference Sweep")
 	}
 }

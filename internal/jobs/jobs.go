@@ -6,11 +6,11 @@
 // JSON shell over the Manager; cmd/linkclustd adds only flags, listening,
 // and signal handling.
 //
-// Determinism is what makes the cache sound: every engine in the facade
-// (serial, windowed-parallel, pipelined) produces a bitwise-identical merge
+// Determinism is what makes the cache sound: both engines in the facade
+// (windowed and out-of-core spill) produce a bitwise-identical merge
 // stream for a given (graph, algorithm) at any worker count, so worker
-// count and pipeline mode are deliberately excluded from cache keys — a
-// result computed at T=8 pipelined serves a T=1 serial request verbatim.
+// count and engine are deliberately excluded from cache keys — a result
+// computed at T=8 serves a T=1 request verbatim.
 // See DESIGN.md §8.
 package jobs
 
@@ -28,9 +28,8 @@ import (
 type Algorithm string
 
 const (
-	// AlgoSweep is the fine-grained sweep (Algorithm 2); the engine —
-	// serial, windowed-parallel, or pipelined — follows Options.Workers and
-	// Options.Pipeline and never changes the output.
+	// AlgoSweep is the fine-grained sweep (Algorithm 2); the engine follows
+	// Options.Engine and Options.Workers and never changes the output.
 	AlgoSweep Algorithm = "sweep"
 	// AlgoCoarse is the coarse-grained sweep of Section V with the default
 	// parameters (γ=2, φ=100, δ0=1000, η0=8).
@@ -45,18 +44,15 @@ type Options struct {
 	// Workers is the per-job worker count, normalized like every facade
 	// entry point (see par.Normalize). Does not affect the output.
 	Workers int `json:"workers,omitempty"`
-	// Pipeline selects the sort-overlapped sweep when Workers > 1. Does not
-	// affect the output.
-	Pipeline bool `json:"pipeline,omitempty"`
 	// Engine selects the sweep engine for AlgoSweep jobs: "auto" (the
-	// default — the windowed engine at Workers, or the pipelined one when
-	// Pipeline is set and Workers > 1), "serial" (the windowed engine at
-	// one worker), "parallel", "pipelined", or "spill" (the out-of-core
-	// sweep over the daemon's spill directory).
+	// default), "parallel" and the legacy "pipelined" run the windowed
+	// engine at Workers, "serial" runs it at one worker, and "spill" runs
+	// the out-of-core sweep over the daemon's spill directory. A payload or
+	// journal record that still carries the retired "pipeline" field
+	// decodes with the field ignored.
 	// Does not affect the output, so it is excluded from result cache keys
-	// like Workers and Pipeline — spilled results are cacheable under the
-	// same keys precisely because the spilled merge stream is bitwise
-	// identical.
+	// like Workers — spilled results are cacheable under the same keys
+	// precisely because the spilled merge stream is bitwise identical.
 	Engine string `json:"engine,omitempty"`
 	// TimeoutMS bounds the job's run time; 0 inherits the manager default.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -81,11 +77,8 @@ func (o Options) normalize() (Options, error) {
 	if o.Engine == "" {
 		o.Engine = linkclust.EngineAuto
 	}
-	switch o.Engine {
-	case linkclust.EngineAuto, linkclust.EngineSerial, linkclust.EngineParallel, linkclust.EnginePipelined, linkclust.EngineSpill:
-	default:
-		return o, fmt.Errorf("jobs: unknown engine %q (want %q, %q, %q, %q or %q)",
-			o.Engine, linkclust.EngineAuto, linkclust.EngineSerial, linkclust.EngineParallel, linkclust.EnginePipelined, linkclust.EngineSpill)
+	if _, _, err := core.ResolveSweepEngine(o.Engine, o.Workers); err != nil {
+		return o, fmt.Errorf("jobs: %w", err)
 	}
 	if o.TimeoutMS < 0 {
 		return o, fmt.Errorf("jobs: negative timeout_ms %d", o.TimeoutMS)
@@ -95,7 +88,7 @@ func (o Options) normalize() (Options, error) {
 
 // resultKey is the content address of a job's output: SHA-256 over the
 // canonical graph bytes' hash and the result-affecting options. Worker
-// count and pipeline mode are excluded — the engines are bitwise
+// count and engine are excluded — the engines are bitwise
 // worker-invariant — and so are the timeout and memory budget, because a
 // run that degrades or is cancelled never populates the cache (only clean,
 // budget-respecting results are stored; see Manager.runJob).

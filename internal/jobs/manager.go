@@ -701,14 +701,14 @@ func (m *Manager) execute(ctx context.Context, j *Job, rec *linkclust.Recorder) 
 			sres *linkclust.Result
 			err  error
 		)
-		// Engine choice cannot change the output (all engines are bitwise
+		// Engine choice cannot change the output (both engines are bitwise
 		// identical), so the daemon defaults to "auto": the windowed engine
-		// at the job's worker count, or the pipelined one when requested
-		// with a second worker. "serial" is the windowed engine at one
+		// at the job's worker count. "serial" is the windowed engine at one
 		// worker. A job carrying a replayed checkpoint always resumes on the
 		// windowed engine, which replays only pairs past the checkpoint and
-		// emits the identical merge stream.
-		engine, workers := core.ResolveSweepEngine(j.Options.Engine, j.Options.Workers, j.Options.Pipeline)
+		// emits the identical merge stream. Options.normalize validated the
+		// name at submit, so the error is impossible here.
+		engine, workers, _ := core.ResolveSweepEngine(j.Options.Engine, j.Options.Workers)
 		if j.resume != nil {
 			engine = linkclust.EngineParallel
 			rec.SetMeta("resumed_from_pos", strconv.Itoa(j.resume.Pos))
@@ -716,8 +716,6 @@ func (m *Manager) execute(ctx context.Context, j *Job, rec *linkclust.Recorder) 
 		}
 		rec.SetMeta("sweep_engine", engine)
 		switch engine {
-		case linkclust.EnginePipelined:
-			sres, err = linkclust.SweepPipelinedCtx(ctx, g, pl, workers, rec)
 		case linkclust.EngineSpill:
 			sres, err = linkclust.SweepSpilledCtx(ctx, g, pl, workers, m.cfg.SpillDir, rec)
 			if err == nil {

@@ -136,7 +136,7 @@ func TestResultCacheHitSkipsEverything(t *testing.T) {
 	defer m.Close()
 
 	text := graphText(t, 50, 2)
-	st, err := m.Submit(text, Options{Workers: 4, Pipeline: true})
+	st, err := m.Submit(text, Options{Workers: 4, Engine: linkclust.EnginePipelined})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,12 +2,16 @@ package jobs
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"testing"
 	"time"
 
 	"linkclust"
 	"linkclust/internal/core"
 	"linkclust/internal/fault"
+	"linkclust/internal/persist"
 )
 
 // In-process recovery tests for the persistent manager: journal replay,
@@ -301,6 +305,72 @@ func TestPersistentSerialEngineResumes(t *testing.T) {
 			mt.JobsRecovered, mt.JobsResumed)
 	}
 	rep, err := m2.Report(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := rep.Meta["sweep_engine"]; e != linkclust.EngineParallel {
+		t.Fatalf("sweep_engine = %q, want %q", e, linkclust.EngineParallel)
+	}
+}
+
+// TestPersistentLegacyPipelinedSubmitReplays restarts against a state dir
+// whose journal holds a submit written before the pipelined engine and the
+// "pipeline" option were retired: options
+// {"workers":2,"engine":"pipelined","pipeline":true} and no terminal record.
+// Replay must accept the record, re-run the job on the windowed engine, and
+// serve merges bitwise equal to the reference loop's.
+func TestPersistentLegacyPipelinedSubmitReplays(t *testing.T) {
+	resetJobFaults(t)
+	dir := t.TempDir()
+	text := graphText(t, 80, 41)
+	g, err := linkclust.ReadGraph(bytes.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := linkclust.Sweep(g, linkclust.Similarity(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := core.WriteMerges(&want, g.NumEdges(), ref.Merges); err != nil {
+		t.Fatal(err)
+	}
+
+	var canon bytes.Buffer
+	if err := linkclust.WriteGraph(&canon, g); err != nil {
+		t.Fatal(err)
+	}
+	graphKey := sha256.Sum256(canon.Bytes())
+	id := jobID(1, graphKey)
+	p, _, _, err := openPersister(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.ensureGraph(graphKey, g)
+	p.append(persist.Record{
+		Op: persist.OpSubmit, ID: id, Seq: 1, GraphSHA: hex.EncodeToString(graphKey[:]),
+		Options:  json.RawMessage(`{"workers":2,"engine":"pipelined","pipeline":true}`),
+		AtUnixMS: time.Now().UnixMilli(),
+	})
+	if p.isDegraded() {
+		t.Fatal("writing the legacy journal degraded the persister")
+	}
+	p.close()
+
+	m := openPersistent(t, Config{Concurrency: 1, StateDir: dir})
+	defer m.Close()
+	st := waitState(t, m, id)
+	if st.State != StateDone {
+		t.Fatalf("replayed legacy job %s (%s)", st.State, st.Error)
+	}
+	merges, err := m.Merges(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(merges, want.Bytes()) {
+		t.Fatal("replayed legacy job's merges differ from the reference Sweep")
+	}
+	rep, err := m.Report(id)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -225,7 +225,7 @@ func TestSweepSortsPairListInPlace(t *testing.T) {
 
 // TestRaceClusterCtxSharedGraph is the service-layer scenario under the race
 // detector: many concurrent ClusterCtx jobs over ONE shared immutable Graph,
-// with mixed engines (serial, windowed-parallel, pipelined) and mixed worker
+// with mixed engines (serial, windowed-parallel, spill) and mixed worker
 // counts — exactly how the linkclustd worker pool runs jobs against interned
 // graphs. Every concurrent result must be bitwise identical to the solo
 // serial run; any engine write to shared graph state would surface both as a
@@ -238,12 +238,12 @@ func TestRaceClusterCtxSharedGraph(t *testing.T) {
 	}
 
 	type variant struct {
-		workers  int
-		pipeline bool
+		workers int
+		engine  string
 	}
 	variants := []variant{
-		{1, false}, {2, false}, {4, false}, {8, false},
-		{2, true}, {4, true}, {8, true},
+		{1, EngineAuto}, {2, EngineAuto}, {4, EngineAuto}, {8, EngineAuto},
+		{4, EngineSerial}, {2, EngineSpill}, {8, EngineSpill},
 	}
 	var wg sync.WaitGroup
 	for rep := 0; rep < 3; rep++ {
@@ -252,22 +252,22 @@ func TestRaceClusterCtxSharedGraph(t *testing.T) {
 			go func(v variant) {
 				defer wg.Done()
 				res, err := ClusterCtx(context.Background(), g, ClusterOptions{
-					Workers:  v.workers,
-					Pipeline: v.pipeline,
+					Workers: v.workers,
+					Engine:  v.engine,
 				})
 				if err != nil {
-					t.Errorf("workers=%d pipeline=%v: %v", v.workers, v.pipeline, err)
+					t.Errorf("workers=%d engine=%s: %v", v.workers, v.engine, err)
 					return
 				}
 				if len(res.Merges) != len(solo.Merges) {
-					t.Errorf("workers=%d pipeline=%v: %d merges, want %d",
-						v.workers, v.pipeline, len(res.Merges), len(solo.Merges))
+					t.Errorf("workers=%d engine=%s: %d merges, want %d",
+						v.workers, v.engine, len(res.Merges), len(solo.Merges))
 					return
 				}
 				for i := range solo.Merges {
 					if res.Merges[i] != solo.Merges[i] {
-						t.Errorf("workers=%d pipeline=%v merge %d: %+v, want %+v",
-							v.workers, v.pipeline, i, res.Merges[i], solo.Merges[i])
+						t.Errorf("workers=%d engine=%s merge %d: %+v, want %+v",
+							v.workers, v.engine, i, res.Merges[i], solo.Merges[i])
 						return
 					}
 				}

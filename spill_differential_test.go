@@ -11,16 +11,16 @@ import (
 )
 
 // Root-level differential matrix for the out-of-core sweep: the spilled
-// engine against the serial and pipelined engines, across graph families,
-// worker counts, and both radix-bucket widths, plus the facade's
+// engine against the serial loop and the windowed engine, across graph
+// families, worker counts, and both radix-bucket widths, plus the facade's
 // budget-breach reroute driven by a genuinely tiny budget rather than an
 // injected fault.
 
 // spillDiffGraphs returns the matrix families paired with the bucket-width
 // regime their pair list lands in. The partitioner narrows to 8-bit buckets
 // below 1<<13 incident pairs and uses 16-bit buckets above (see
-// core/pipeline.go); covering both proves the spilled reader agrees with
-// the in-memory bucket policy in each regime.
+// core/spill_sweep.go); covering both proves the spilled reader reassembles
+// list L exactly in each regime.
 func spillDiffGraphs(t *testing.T) map[string]struct {
 	g    *Graph
 	wide bool
@@ -46,7 +46,7 @@ func spillDiffGraphs(t *testing.T) map[string]struct {
 
 // TestSpilledDifferentialMatrix: on every family and T ∈ {1,4,8}, the
 // spilled sweep must reproduce the serial sweep bit for bit and agree with
-// the pipelined engine, while its bucket/byte counters stay
+// the windowed engine, while its bucket/byte counters stay
 // worker-invariant.
 func TestSpilledDifferentialMatrix(t *testing.T) {
 	for name, tc := range spillDiffGraphs(t) {
@@ -62,12 +62,12 @@ func TestSpilledDifferentialMatrix(t *testing.T) {
 			want := sha(canonMerges(serial))
 			var buckets, bytes int64 = -1, -1
 			for _, workers := range []int{1, 4, 8} {
-				pip, err := SweepPipelined(g, Similarity(g), workers)
+				inMem, err := SweepParallel(g, Similarity(g), workers)
 				if err != nil {
-					t.Fatalf("pipelined T=%d: %v", workers, err)
+					t.Fatalf("windowed T=%d: %v", workers, err)
 				}
-				if got := sha(canonMerges(pip)); got != want {
-					t.Fatalf("pipelined T=%d hash %s, serial %s", workers, got, want)
+				if got := sha(canonMerges(inMem)); got != want {
+					t.Fatalf("windowed T=%d hash %s, serial %s", workers, got, want)
 				}
 				rec := NewRecorder()
 				sp, err := SweepSpilledCtx(context.Background(), g, Similarity(g), workers, t.TempDir(), rec)

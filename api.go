@@ -430,16 +430,15 @@ const (
 
 // Incremental streaming clustering. A Stream ingests edge arrivals and keeps
 // the clustering current: only the similarity rows an arrival can affect are
-// recomputed, and each snapshot replays the sweep from the deepest still-valid
-// checkpoint (or falls back to the batch pipeline when the compaction trigger
-// fires). Snapshots are bitwise identical to a batch Cluster run on the
-// accumulated graph — see internal/stream and DESIGN.md §9.
+// recomputed and spliced into the maintained sorted pair list, and each
+// snapshot sweeps that list once. Snapshots are bitwise identical to a batch
+// Cluster run on the accumulated graph — see internal/stream and DESIGN.md §9.
 type (
 	// Stream is the incremental clustering engine. All methods are safe for
 	// concurrent use; a Snapshot observes all or none of a concurrent ingest.
 	Stream = stream.Engine
-	// StreamOptions configures a Stream (workers, vertex bound, compaction
-	// triggers, checkpoint spacing, recorder). The zero value is usable.
+	// StreamOptions configures a Stream (workers, recorder, vertex bound).
+	// The zero value is usable.
 	StreamOptions = stream.Options
 	// Arrival is one streamed edge: endpoints and weight, validated exactly
 	// like GraphBuilder.AddEdge; a repeated pair overwrites the weight.
@@ -451,8 +450,6 @@ type (
 // so they join the golden worker-invariant set.
 const (
 	CtrStreamAffectedRows = stream.CtrAffectedRows
-	CtrStreamReplayedOps  = stream.CtrReplayedOps
-	CtrStreamCompactions  = stream.CtrCompactions
 	CtrStreamBatches      = stream.CtrBatches
 )
 

@@ -341,7 +341,7 @@ func TestFaultMatrix(t *testing.T) {
 					t.Fatalf("disarmed hash %s, golden %s", got, goldenClusterSHA)
 				}
 				return
-			case fault.StreamIngest, fault.StreamCompact:
+			case fault.StreamIngest:
 				var eng *Stream
 				eng, err = NewStream(StreamOptions{Workers: 4, MaxVertices: g.NumVertices()})
 				if err != nil {
@@ -457,12 +457,12 @@ func testPersistFaultPoint(t *testing.T, p fault.Point, fired *bool) {
 	}
 }
 
-// TestFaultStreamCancel arms the stream points with a context cancel. The
+// TestFaultStreamCancel cancels the stream engine at its two stages. The
 // ingest point fires before any mutation, so a cancelled ingest must leave
-// the graph untouched; the compact point fires after the trigger decision
-// but before any batch work, so a cancelled snapshot must leave the engine
-// retryable. Either way, disarming and retrying produces the golden
-// clustering, and no goroutine outlives the cancelled call.
+// the graph untouched; the window-cut point cancels the snapshot's sweep
+// midway, which must leave the engine retryable. Either way, disarming and
+// retrying produces the golden clustering, and no goroutine outlives the
+// cancelled call.
 func TestFaultStreamCancel(t *testing.T) {
 	g := goldenGraph(t)
 	arr := streamArrivals(g)
@@ -497,16 +497,10 @@ func TestFaultStreamCancel(t *testing.T) {
 		waitGoroutinesBack(t, base)
 	})
 
-	t.Run("compact", func(t *testing.T) {
+	t.Run("snapshot", func(t *testing.T) {
 		resetFaults(t)
 		base := runtime.NumGoroutine()
-		eng, err := NewStream(StreamOptions{
-			Workers:     4,
-			MaxVertices: g.NumVertices(),
-			// Any replay triggers compaction, so the armed point is reached
-			// on the very first snapshot.
-			CompactDirtyFraction: 1e-12,
-		})
+		eng, err := NewStream(StreamOptions{Workers: 4, MaxVertices: g.NumVertices()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -515,7 +509,7 @@ func TestFaultStreamCancel(t *testing.T) {
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		fault.Arm(fault.StreamCompact, 1, cancel)
+		fault.Arm(fault.CancelWindow, 1, cancel)
 		if _, err := eng.SnapshotCtx(ctx); !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}

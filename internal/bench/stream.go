@@ -18,10 +18,10 @@ const streamWorkers = 8
 
 // The timed protocol: everything but the last streamTimedSteps batches of
 // streamTimedBatch arrivals is ingested (and snapshotted once) untimed, so
-// every timed batch arrives at an engine with a mature pair list and
-// checkpoint set — the steady state the incremental path is for. Batches are
-// deliberately small: the scenario under test is "a trickle of arrivals on a
-// large accumulated graph", where from-scratch reclustering is pure waste.
+// every timed batch arrives at an engine with a mature pair list — the steady
+// state the incremental path is for. Batches are deliberately small: the
+// scenario under test is "a trickle of arrivals on a large accumulated graph",
+// where from-scratch reclustering is pure waste.
 const (
 	streamTimedBatch = 64
 	streamTimedSteps = 5
@@ -33,11 +33,10 @@ type streamResult struct {
 	Edges      int     `json:"edges"`       // edges after this batch
 	BatchEdges int     `json:"batch_edges"` // arrivals in this batch
 
-	// AffectedRows/ReplayedOps are the engine's own counters for this batch:
-	// similarity rows recomputed and sweep ops replayed from the resume
-	// checkpoint — the incremental path's actual work.
+	// AffectedRows is the engine's own counter for this batch: similarity
+	// rows recomputed — the incremental path's Phase I work. Its snapshot
+	// then sweeps all TotalOps.
 	AffectedRows int64 `json:"affected_rows"`
-	ReplayedOps  int64 `json:"replayed_ops"`
 	TotalOps     int64 `json:"total_ops"` // K2 of the post-batch graph
 
 	IncrementalNs int64   `json:"incremental_ns"` // IngestBatch + Snapshot
@@ -65,9 +64,8 @@ type streamReport struct {
 // id order). Every
 // snapshot is compared bitwise to the batch result before its time counts, so
 // a green run certifies the differential contract on real workloads while
-// measuring what incrementality buys. Compaction is disabled for the timed
-// engine: the batch column *is* the compaction fallback's cost, so the table
-// reads directly as replay-path versus fallback.
+// measuring what incrementality buys: Phase I and the sort, since both sides
+// sweep the full list.
 func Stream(w io.Writer, cfg Config) error {
 	// Both sides run T=8; par.Normalize clamps to GOMAXPROCS, so raise it for
 	// the duration as the kernels experiment does.
@@ -81,12 +79,11 @@ func Stream(w io.Writer, cfg Config) error {
 	}
 	t := &Table{
 		Title:   "stream: incremental ingest+snapshot vs batch clustering from scratch (bitwise, T=8)",
-		Columns: []string{"alpha", "edges", "+batch", "rows", "replay-ops", "K2", "incremental", "batch", "speedup"},
+		Columns: []string{"alpha", "edges", "+batch", "rows", "K2", "incremental", "batch", "speedup"},
 		Notes: []string{
 			"every incremental snapshot is compared bitwise to a ClusterParallel run on the identical prefix graph before its time counts",
 			fmt.Sprintf("all but the last %d batches of %d arrivals are ingested untimed (steady state); the small timed batches model a trickle of arrivals on a large accumulated graph", streamTimedSteps, streamTimedBatch),
 			"incremental timings are single-shot (ingest mutates the engine); the batch side reports the minimum over -repeats runs",
-			"compaction is disabled on the timed engine: the batch column is exactly the compaction fallback's cost",
 		},
 	}
 	report := &streamReport{
@@ -140,14 +137,7 @@ func streamAlpha(wl Workload, cfg Config, t *Table) ([]streamResult, error) {
 		return nil, nil
 	}
 	rec := obs.New()
-	eng, err := stream.New(stream.Options{
-		Workers:     streamWorkers,
-		Recorder:    rec,
-		MaxVertices: n,
-		// Above 1 never triggers on fraction; the batch column below is the
-		// fallback's cost, measured directly.
-		CompactDirtyFraction: 2,
-	})
+	eng, err := stream.New(stream.Options{Workers: streamWorkers, Recorder: rec, MaxVertices: n})
 	if err != nil {
 		return nil, err
 	}
@@ -162,7 +152,7 @@ func streamAlpha(wl Workload, cfg Config, t *Table) ([]streamResult, error) {
 		return out
 	}
 	// Warm phase, untimed: bulk ingest and one snapshot so the engine holds a
-	// full pair list and checkpoints before measurement starts.
+	// full pair list before measurement starts.
 	if err := eng.IngestBatch(batchOf(0, warm)); err != nil {
 		return nil, err
 	}
@@ -174,7 +164,6 @@ func streamAlpha(wl Workload, cfg Config, t *Table) ([]streamResult, error) {
 	for lo := warm; lo < m; lo += streamTimedBatch {
 		hi := min(lo+streamTimedBatch, m)
 		rowsBefore := rec.Counter(stream.CtrAffectedRows)
-		opsBefore := rec.Counter(stream.CtrReplayedOps)
 		start := time.Now()
 		if err := eng.IngestBatch(batchOf(lo, hi)); err != nil {
 			return nil, err
@@ -184,9 +173,6 @@ func streamAlpha(wl Workload, cfg Config, t *Table) ([]streamResult, error) {
 			return nil, err
 		}
 		incNs := time.Since(start)
-		if c := rec.Counter(stream.CtrCompactions); c != 0 {
-			return nil, fmt.Errorf("bench: alpha %v: timed engine compacted %d times with compaction disabled", wl.Alpha, c)
-		}
 
 		// The batch side: the identical prefix graph from scratch. Replay in
 		// id order gives the Builder the same edge ids the dynamic graph
@@ -217,7 +203,6 @@ func streamAlpha(wl Workload, cfg Config, t *Table) ([]streamResult, error) {
 			Edges:         hi,
 			BatchEdges:    hi - lo,
 			AffectedRows:  rec.Counter(stream.CtrAffectedRows) - rowsBefore,
-			ReplayedOps:   rec.Counter(stream.CtrReplayedOps) - opsBefore,
 			TotalOps:      batchRes.PairsProcessed,
 			IncrementalNs: incNs.Nanoseconds(),
 			BatchNs:       batchNs.Nanoseconds(),
@@ -225,7 +210,7 @@ func streamAlpha(wl Workload, cfg Config, t *Table) ([]streamResult, error) {
 			Identical:     true,
 		}
 		out = append(out, row)
-		t.AddRow(wl.Alpha, row.Edges, row.BatchEdges, row.AffectedRows, row.ReplayedOps, row.TotalOps,
+		t.AddRow(wl.Alpha, row.Edges, row.BatchEdges, row.AffectedRows, row.TotalOps,
 			formatSeconds(incNs), formatSeconds(batchNs), fmt.Sprintf("%.2fx", row.Speedup))
 	}
 	return out, nil

@@ -9,13 +9,17 @@ import (
 	"linkclust/internal/par"
 )
 
-// This file exports the replay surface the incremental engine in
-// internal/stream builds on: a checkpointable sweep (SweepResumeCtx over
-// SweepState), the per-row similarity kernel (RowKernel), and the pair-list
-// order primitives (CmpPairs, NewSortedPairList, VertexNorms). Everything
-// here reuses the existing engines verbatim — the exports add state capture
-// and single-row entry points, never new algorithmic paths — so outputs stay
-// bitwise identical to the batch pipeline by construction.
+// This file exports two surfaces built on the existing engines. The
+// checkpointable sweep (SweepResumeCtx over SweepState) serves the daemon's
+// persistence checkpoints in internal/jobs: a restarted job resumes its sweep
+// from the deepest journaled state. The per-row similarity kernel
+// (RowKernel) and the pair-list order primitives (CmpPairs,
+// NewSortedPairList, VertexNorms) serve the incremental engine in
+// internal/stream, which keeps the sorted pair list current and sweeps it
+// with SweepParallelCtx. Everything here reuses the engines verbatim — the
+// exports add state capture and single-row entry points, never new
+// algorithmic paths — so outputs stay bitwise identical to the batch
+// pipeline by construction.
 
 // SweepState is a resumable checkpoint of the fine-grained sweep engine: the
 // full engine state after the window ending at pair index Pos. Replaying the

@@ -66,11 +66,6 @@ const (
 	// reports ctx.Err() and the next Snapshot still matches the batch oracle
 	// on the pre-batch graph.
 	StreamIngest
-	// StreamCompact fires at the entry of every stream compaction (the
-	// batch-path fallback), after the trigger decided but before the batch
-	// recompute starts. Arming it with a context-cancel action exercises the
-	// engine's compaction-abort path; disarmed runs stay golden.
-	StreamCompact
 	// SpillWrite fires in the spill store's write-behind pool, once per
 	// block write (the flush of a full or final per-bucket buffer). A firing
 	// hit is the fault: the block is not written and the store fails with an
@@ -118,8 +113,6 @@ func (p Point) String() string {
 		return "mem-breach"
 	case StreamIngest:
 		return "stream-ingest"
-	case StreamCompact:
-		return "stream-compact"
 	case SpillWrite:
 		return "spill-write"
 	case SpillRead:
@@ -138,7 +131,7 @@ func (p Point) String() string {
 // Points returns every registered injection point, for docs and the
 // fault-matrix test that arms each one in turn.
 func Points() []Point {
-	return []Point{WorkerPanic, SlowProducer, CancelWindow, MemBreach, StreamIngest, StreamCompact, SpillWrite, SpillRead, JournalAppend, CacheStoreWrite, CacheStoreLoad}
+	return []Point{WorkerPanic, SlowProducer, CancelWindow, MemBreach, StreamIngest, SpillWrite, SpillRead, JournalAppend, CacheStoreWrite, CacheStoreLoad}
 }
 
 type arming struct {

@@ -8,8 +8,9 @@ import (
 	"linkclust/internal/rng"
 )
 
-// requireSameGraph asserts two graphs are element-wise identical: vertex and
-// edge counts, edge records in id order, and adjacency rows entry for entry.
+// requireGraphsIdentical asserts two graphs are element-wise identical:
+// vertex and edge counts, edge records in id order, and adjacency rows entry
+// for entry.
 func requireGraphsIdentical(t *testing.T, label string, got, want *Graph) {
 	t.Helper()
 	if got.NumVertices() != want.NumVertices() {

@@ -174,81 +174,70 @@ func TestStreamDifferential(t *testing.T) {
 	}
 }
 
-// TestStreamCompactionPolicies pins the trigger behavior at its extremes —
-// a never-compacting engine must pay zero compactions and still be exact, an
-// always-compacting engine must compact on every snapshot and still be exact
-// — plus the duplicate-arrival path (weight overwrites mid-stream).
-func TestStreamCompactionPolicies(t *testing.T) {
+// TestStreamOverwrites covers duplicate arrivals: replay a prefix, then
+// overwrite a slice of the edges with new weights; the oracle replays the same
+// sequence through a Builder (last write wins on both sides).
+func TestStreamOverwrites(t *testing.T) {
 	g := graph.ErdosRenyi(64, 0.12, rng.New(3))
 	arrivals := arrivalsOf(g)
 	m := len(arrivals)
-	for _, tc := range []struct {
-		name    string
-		dirty   float64
-		wantMin int64
-		wantMax int64
-	}{
-		{"never", 2.0, 0, 0},
-		{"always", 1e-12, 1, int64(m)},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			rec := obs.New()
-			e, err := New(Options{Workers: 4, MaxVertices: g.NumVertices(),
-				CompactDirtyFraction: tc.dirty, Recorder: rec})
-			if err != nil {
-				t.Fatal(err)
-			}
-			snaps := 0
-			for lo := 0; lo < m; lo += 16 {
-				hi := min(lo+16, m)
-				if err := e.IngestBatch(arrivals[lo:hi]); err != nil {
-					t.Fatal(err)
-				}
-				res, err := e.Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				snaps++
-				requireSameResult(t, fmt.Sprintf("%s prefix=%d", tc.name, hi),
-					res, batchOracle(t, g.NumVertices(), arrivals, hi))
-			}
-			got := rec.Counter(CtrCompactions)
-			if tc.wantMax == 0 && got != 0 {
-				t.Fatalf("never-compact engine compacted %d times", got)
-			}
-			if tc.wantMin > 0 && got != int64(snaps) {
-				t.Fatalf("always-compact engine compacted %d times over %d snapshots", got, snaps)
-			}
-		})
+	seq := append([]Arrival(nil), arrivals...)
+	src := rng.New(9)
+	for i := 0; i < 30; i++ {
+		d := arrivals[src.Intn(m)]
+		d.W = 0.25 + src.Float64()
+		seq = append(seq, d)
 	}
+	e, err := New(Options{Workers: 4, MaxVertices: g.NumVertices()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lo := 0; lo < len(seq); lo += 8 {
+		hi := min(lo+8, len(seq))
+		if err := e.IngestBatch(seq[lo:hi]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameResult(t, "overwrites", res, batchOracle(t, g.NumVertices(), seq, len(seq)))
+}
 
-	// Duplicate arrivals: replay a prefix, then overwrite a slice of the
-	// edges with new weights; the oracle replays the same sequence through a
-	// Builder (last write wins on both sides).
-	t.Run("overwrites", func(t *testing.T) {
-		seq := append([]Arrival(nil), arrivals...)
-		src := rng.New(9)
-		for i := 0; i < 30; i++ {
-			d := arrivals[src.Intn(m)]
-			d.W = 0.25 + src.Float64()
-			seq = append(seq, d)
-		}
-		e, err := New(Options{Workers: 4, MaxVertices: g.NumVertices()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for lo := 0; lo < len(seq); lo += 8 {
-			hi := min(lo+8, len(seq))
-			if err := e.IngestBatch(seq[lo:hi]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		res, err := e.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameResult(t, "overwrites", res, batchOracle(t, g.NumVertices(), seq, len(seq)))
-	})
+// TestStreamSnapshotSkipsPhaseI pins what the stream engine saves: on a warm
+// engine, a snapshot after a small batch sweeps the maintained pair list and
+// never reruns the batch similarity pass, yet still equals the batch oracle.
+func TestStreamSnapshotSkipsPhaseI(t *testing.T) {
+	g := streamTestGraphs(t)["word-association"]
+	arrivals := arrivalsOf(g)
+	m := len(arrivals)
+	rec := obs.New()
+	e, err := New(Options{Workers: 4, MaxVertices: g.NumVertices(), Recorder: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.IngestBatch(arrivals[:m-16]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.IngestBatch(arrivals[m-16:]); err != nil {
+		t.Fatal(err)
+	}
+	rows, ops := rec.Counter(core.CtrSimilarityWedgeRows), rec.Counter(core.CtrSweepPairsProcessed)
+	res, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.Counter(core.CtrSimilarityWedgeRows) - rows; got != 0 {
+		t.Fatalf("snapshot ran %d batch similarity rows, want 0", got)
+	}
+	if got := rec.Counter(core.CtrSweepPairsProcessed) - ops; got != res.PairsProcessed {
+		t.Fatalf("snapshot recorded %d swept ops, want %d", got, res.PairsProcessed)
+	}
+	requireSameResult(t, "warm snapshot", res, batchOracle(t, g.NumVertices(), arrivals, m))
 }
 
 // TestStreamAutoGrow checks the unbounded-vertex mode: arrivals extend the

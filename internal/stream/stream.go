@@ -2,15 +2,15 @@
 // stream: arrivals mutate a copy-on-write dynamic graph, only the similarity
 // pairs an arrival can change are recomputed through the batch wedge kernel
 // (one all-partners row per arrival endpoint), the fresh pairs are spliced
-// into the maintained sorted pair list, and each Snapshot replays the
-// fine-grained sweep from the earliest invalidated position using the
-// engine's resumable checkpoints. The result
-// is bitwise identical to a batch Cluster run on the accumulated graph —
-// that differential property, not speed, is the package's contract, and the
-// batch path doubles as the compaction fallback when too much of the list
-// has been invalidated for replay to pay off.
+// into the maintained sorted pair list, and each Snapshot runs the batch
+// fine-grained sweep once over that list. The result is bitwise identical to
+// a batch Cluster run on the accumulated graph — that differential property,
+// not speed, is the package's contract. What a snapshot saves is Phase I and
+// the sort. Phase II always runs in full: an arrival's fresh pairs land near
+// the head of the list (DESIGN.md §9), so a saved sweep prefix would almost
+// never survive one.
 //
-// Correctness rests on three facts established by the batch engines:
+// Correctness rests on two facts established by the batch engines:
 //
 //  1. Row independence. The wedge kernel's row u is a pure function of the
 //     graph and the norm arrays — never of other rows — so recomputing an
@@ -25,18 +25,15 @@
 //     makes the post-arrival neighborhoods supersets of every intermediate
 //     state and lets refreshes batch across arrivals). Every other pair in
 //     the maintained list is untouched storage from earlier refreshes.
-//  3. Sweep resumability. The sweep engine's behavior beyond a window
-//     boundary is a pure function of the captured SweepState plus the pairs
-//     beyond it, so replaying from a checkpoint at or below the splice's
-//     first divergence reproduces the from-scratch merge stream bitwise
-//     (core.SweepResumeCtx).
+//
+// Together they make the spliced list equal, pair for pair, to the sorted
+// list a batch Phase I would build, and the sweep over it is the batch sweep.
 package stream
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -55,11 +52,6 @@ const (
 	// CtrAffectedRows counts similarity rows recomputed across refreshes —
 	// one all-partners kernel row per distinct pending arrival endpoint.
 	CtrAffectedRows = "stream.affected_rows"
-	// CtrReplayedOps counts sweep operations replayed by snapshots (ops at
-	// and above the resume checkpoint; a compaction counts the full list).
-	CtrReplayedOps = "stream.replayed_ops"
-	// CtrCompactions counts snapshots that fell back to the batch path.
-	CtrCompactions = "stream.compactions"
 	// CtrBatches counts successfully ingested arrival batches.
 	CtrBatches = "stream.batches"
 )
@@ -73,47 +65,25 @@ type Arrival struct {
 }
 
 // Options configures an Engine. The zero value is usable: auto-grown vertex
-// set, default workers, dirty-fraction compaction at one half.
+// set, default workers.
 type Options struct {
-	// Workers is the worker count for row recomputation sorts and sweep
-	// replays, normalized like every parallel entry point.
+	// Workers is the worker count for row recomputation, sorts and snapshot
+	// sweeps, normalized like every parallel entry point.
 	Workers int
 	// Recorder receives the stream.* counters plus the phase timers and
-	// counters of the underlying similarity/sweep runs. Nil records nothing.
+	// counters of the snapshot sweeps. Nil records nothing.
 	Recorder *obs.Recorder
 	// MaxVertices fixes the vertex set to [0, MaxVertices) and rejects
 	// arrivals outside it, mirroring graph.NewBuilder(n). Zero means the
 	// vertex set grows on demand to max(U, V)+1.
 	MaxVertices int
-	// CompactDirtyFraction triggers the batch fallback when the fraction of
-	// sweep operations needing replay reaches it. Zero means the default of
-	// 0.5; values above 1 never trigger on fraction.
-	CompactDirtyFraction float64
-	// CompactAfterOps triggers the batch fallback once the operations
-	// replayed since the last compaction reach it. Zero disables the
-	// op-count trigger.
-	CompactAfterOps int64
-	// CheckpointEvery is the minimum operation spacing of sweep checkpoints
-	// kept for future replays. Zero means the default (32768); checkpoints
-	// land only on the engine's op-count window boundaries regardless.
-	CheckpointEvery int
 }
-
-const (
-	defaultDirtyFraction   = 0.5
-	defaultCheckpointEvery = 32768
-	// maxCheckpoints bounds the kept checkpoint list; past it, every other
-	// interior checkpoint is dropped (deterministically, by index).
-	maxCheckpoints = 16
-)
 
 // Engine is the incremental clustering engine. All methods are safe for
 // concurrent use; ingestion and snapshots serialize on one mutex, so a
 // Snapshot observes either all or none of any concurrent IngestBatch.
 type Engine struct {
-	opt   Options
-	dirty float64
-	ckEv  int
+	opt Options
 
 	mu sync.Mutex
 	g  *graph.Dynamic
@@ -123,22 +93,14 @@ type Engine struct {
 	// rks holds one row kernel per refresh worker; each worker owns its
 	// scratch, so recomputed rows stay pure functions of (graph, h1, h2).
 	rks []*core.RowKernel
-	// pl is the maintained pair list in list-L order; ckpts are sweep states
-	// valid against it, ascending by Pos (the last one, when clean, is the
-	// full-replay state at Pos = len(pl)).
-	pl    []core.Pair
-	ckpts []core.SweepState
+	// pl is the maintained pair list in list-L order.
+	pl []core.Pair
 	// pending holds endpoints of applied-but-unrefreshed arrivals. Non-empty
 	// only after a cancelled ingest; the next ingest or snapshot retries the
 	// refresh (idempotent — rows recompute from the graph).
 	pending map[int]struct{}
-
-	// snap/res cache the last snapshot; valid while clean.
-	clean bool
-	snap  *graph.Graph
-	res   *core.Result
-
-	opsSinceCompact int64
+	// res caches the last snapshot; nil once the graph has changed since.
+	res *core.Result
 }
 
 // New returns an engine with the given options.
@@ -146,21 +108,8 @@ func New(opt Options) (*Engine, error) {
 	if opt.MaxVertices < 0 {
 		return nil, fmt.Errorf("stream: negative MaxVertices %d: %w", opt.MaxVertices, graph.ErrVertexRange)
 	}
-	dirty := opt.CompactDirtyFraction
-	if dirty == 0 {
-		dirty = defaultDirtyFraction
-	}
-	if dirty < 0 || math.IsNaN(dirty) {
-		return nil, fmt.Errorf("stream: invalid CompactDirtyFraction %v", opt.CompactDirtyFraction)
-	}
-	ckEv := opt.CheckpointEvery
-	if ckEv <= 0 {
-		ckEv = defaultCheckpointEvery
-	}
 	e := &Engine{
 		opt:     opt,
-		dirty:   dirty,
-		ckEv:    ckEv,
 		g:       graph.NewDynamic(),
 		pending: make(map[int]struct{}),
 	}
@@ -237,14 +186,14 @@ func (e *Engine) IngestBatchCtx(ctx context.Context, batch []Arrival) error {
 		e.pending[a.V] = struct{}{}
 	}
 	if len(batch) > 0 {
-		e.clean = false
+		e.res = nil
 		e.opt.Recorder.Add(CtrBatches, 1)
 	}
 	return e.refreshLocked(ctx)
 }
 
-// growLocked resizes the norm arrays and row kernel to n vertices,
-// preserving existing entries.
+// growLocked resizes the norm arrays to n vertices, preserving existing
+// entries.
 func (e *Engine) growLocked(n int) {
 	if n <= len(e.h1) {
 		return
@@ -257,9 +206,8 @@ func (e *Engine) growLocked(n int) {
 }
 
 // refreshLocked recomputes the similarity rows invalidated by the pending
-// endpoints and splices them into the maintained pair list, pruning sweep
-// checkpoints past the first divergence. It commits only at the end: a
-// cancellation mid-way leaves the old list, checkpoints, and pending set in
+// endpoints and splices them into the maintained pair list. It commits only
+// at the end: a cancellation mid-way leaves the old list and pending set in
 // place (norm entries of pending vertices may already be refreshed, which is
 // harmless — they are recomputed from the current graph, and only rows
 // computed in the same successful refresh read them).
@@ -350,66 +298,27 @@ func (e *Engine) refreshLocked(ctx context.Context) error {
 		return err
 	}
 
-	// Splice: drop the affected rows' old pairs, merge the fresh ones in
-	// list-L order, and find the first index where the new list diverges.
+	// Splice: drop the affected rows' old pairs and merge the fresh ones in
+	// list-L order.
 	newPl := make([]core.Pair, 0, len(e.pl)+len(fresh))
-	divergence := -1
 	fi := 0
 	for _, p := range e.pl {
 		if inD[p.U] || inD[p.V] {
 			continue
 		}
 		for fi < len(fresh) && core.CmpPairs(fresh[fi], p) < 0 {
-			newPl = appendTracked(newPl, fresh[fi], e.pl, &divergence)
+			newPl = append(newPl, fresh[fi])
 			fi++
 		}
-		newPl = appendTracked(newPl, p, e.pl, &divergence)
+		newPl = append(newPl, p)
 	}
-	for ; fi < len(fresh); fi++ {
-		newPl = appendTracked(newPl, fresh[fi], e.pl, &divergence)
-	}
-	if divergence < 0 {
-		divergence = min(len(newPl), len(e.pl))
-	}
+	newPl = append(newPl, fresh[fi:]...)
 
 	// Commit.
 	e.pl = newPl
-	for len(e.ckpts) > 0 && e.ckpts[len(e.ckpts)-1].Pos > divergence {
-		e.ckpts = e.ckpts[:len(e.ckpts)-1]
-	}
 	clear(e.pending)
-	e.clean = false
-	e.snap, e.res = nil, nil
 	e.opt.Recorder.Add(CtrAffectedRows, int64(len(dset)))
 	return nil
-}
-
-// appendTracked appends p to dst, recording in *div the first position where
-// dst stops matching old element-wise.
-func appendTracked(dst []core.Pair, p core.Pair, old []core.Pair, div *int) []core.Pair {
-	if *div < 0 {
-		i := len(dst)
-		if i >= len(old) || !samePair(&old[i], &p) {
-			*div = i
-		}
-	}
-	return append(dst, p)
-}
-
-// samePair reports bitwise pair equality. Common lists are compared by
-// content with an aliasing fast path: an unchanged row keeps its old arena
-// slices, so most survivors compare by pointer.
-func samePair(a, b *core.Pair) bool {
-	if a.U != b.U || a.V != b.V || math.Float64bits(a.Sim) != math.Float64bits(b.Sim) {
-		return false
-	}
-	if len(a.Common) != len(b.Common) {
-		return false
-	}
-	if len(a.Common) == 0 || &a.Common[0] == &b.Common[0] {
-		return true
-	}
-	return slices.Equal(a.Common, b.Common)
 }
 
 // Snapshot clusters the accumulated graph. See SnapshotCtx.
@@ -419,113 +328,27 @@ func (e *Engine) Snapshot() (*core.Result, error) {
 
 // SnapshotCtx returns the clustering of the graph accumulated so far — the
 // merge stream, chain, and counters a batch Cluster run on Graph() would
-// produce, bitwise. It replays the sweep from the deepest checkpoint still
-// valid after the last splice, unless the compaction trigger fires, in which
-// case it recomputes the pair list through the batch similarity path (the
-// correctness oracle) and rebuilds the checkpoints from scratch. Results are
-// cached until the next successful ingest; callers must not mutate the
-// returned Result. On cancellation the engine state is unchanged and the
-// next call retries.
+// produce, bitwise. It completes any pending refresh, then runs the
+// fine-grained sweep once over the maintained pair list. Results are cached
+// until the next ingest; callers must not mutate the returned Result. On
+// cancellation the engine state is unchanged and the next call retries.
 func (e *Engine) SnapshotCtx(ctx context.Context) (*core.Result, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if err := e.refreshLocked(ctx); err != nil {
 		return nil, err
 	}
-	if e.clean && e.res != nil {
+	if e.res != nil {
 		return e.res, nil
 	}
-	g := e.g.Snapshot()
-	rec := e.opt.Recorder
-
-	// Decide replay vs compaction from the op counts, which are pure
-	// functions of the arrival history — never of workers or timing.
-	var from *core.SweepState
-	if len(e.ckpts) > 0 {
-		from = &e.ckpts[len(e.ckpts)-1]
+	res, err := core.SweepParallelCtx(ctx, e.g.Snapshot(), core.NewSortedPairList(e.pl), e.opt.Workers, e.opt.Recorder)
+	if err != nil {
+		return nil, err
 	}
-	total := opsIn(e.pl, 0)
-	replay := total
-	if from != nil {
-		replay = opsIn(e.pl, from.Pos)
-	}
-	compact := false
-	if total > 0 && float64(replay)/float64(total) >= e.dirty {
-		compact = true
-	}
-	if e.opt.CompactAfterOps > 0 && e.opsSinceCompact+replay >= e.opt.CompactAfterOps {
-		compact = true
-	}
-
-	// CheckpointEvery is a *minimum* spacing: on large lists it is raised so
-	// one pass captures at most maxCheckpoints states. Each capture deep-copies
-	// the chain and merge stream (O(|E| + K1)), so a fixed spacing would make
-	// checkpointing quadratic in list size across a replay.
-	saveEvery := int64(e.ckEv)
-	if adaptive := total / maxCheckpoints; saveEvery < adaptive {
-		saveEvery = adaptive
-	}
-	var ckpts []core.SweepState
-	save := func(s core.SweepState) { ckpts = append(ckpts, s) }
-	var res *core.Result
-	if compact {
-		fault.Hit(fault.StreamCompact)
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		pl, err := core.SimilarityCtx(ctx, g, e.opt.Workers, rec)
-		if err != nil {
-			return nil, err
-		}
-		res, err = core.SweepResumeCtx(ctx, g, pl, nil, e.opt.Workers, int(saveEvery), save, rec)
-		if err != nil {
-			return nil, err
-		}
-		// The batch list is the oracle the maintained list must equal; adopt
-		// it (same content, freshly compacted storage).
-		e.pl = pl.Pairs
-		e.ckpts = thinCheckpoints(ckpts)
-		e.opsSinceCompact = 0
-		rec.Add(CtrCompactions, 1)
-		rec.Add(CtrReplayedOps, total)
-	} else {
-		// A checkpoint captured against a shorter edge set extends with
-		// identity entries: ops below its position involve only edges that
-		// existed when it was taken, so later edges are still singletons
-		// there, exactly as in a from-scratch run.
-		if from != nil && len(from.Chain) < g.NumEdges() {
-			st := *from
-			chain := make([]int32, g.NumEdges())
-			copy(chain, st.Chain)
-			for i := len(st.Chain); i < len(chain); i++ {
-				chain[i] = int32(i)
-			}
-			st.Chain = chain
-			from = &st
-		}
-		var err error
-		res, err = core.SweepResumeCtx(ctx, g, core.NewSortedPairList(e.pl), from, e.opt.Workers, int(saveEvery), save, rec)
-		if err != nil {
-			return nil, err
-		}
-		// Checkpoints at or below the resume point stay valid for the
-		// current list; the replay's saves extend past them.
-		merged := append([]core.SweepState{}, e.ckpts...)
-		floor := -1
-		if from != nil {
-			floor = from.Pos
-		}
-		for _, s := range ckpts {
-			if s.Pos > floor {
-				merged = append(merged, s)
-			}
-		}
-		e.ckpts = thinCheckpoints(merged)
-		e.opsSinceCompact += replay
-		rec.Add(CtrReplayedOps, replay)
-	}
-	e.snap, e.res = g, res
-	e.clean = true
+	e.res = res
 	return res, nil
 }
 
@@ -534,28 +357,4 @@ func (e *Engine) Graph() *graph.Graph {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.g.Snapshot()
-}
-
-// opsIn sums the incident-operation counts of pairs at and above pos.
-func opsIn(pl []core.Pair, pos int) int64 {
-	var n int64
-	for i := pos; i < len(pl); i++ {
-		n += int64(len(pl[i].Common))
-	}
-	return n
-}
-
-// thinCheckpoints deterministically caps the checkpoint list: while too
-// long, every other interior checkpoint is dropped (the final state is
-// always kept).
-func thinCheckpoints(cks []core.SweepState) []core.SweepState {
-	for len(cks) > maxCheckpoints {
-		out := cks[:0]
-		for i := 0; i < len(cks)-1; i += 2 {
-			out = append(out, cks[i])
-		}
-		out = append(out, cks[len(cks)-1])
-		cks = out
-	}
-	return cks
 }
